@@ -275,8 +275,20 @@ def cmd_theta_apply(args) -> int:
     return 0
 
 
+def _env_budget() -> int:
+    raw = os.environ.get("SKEWTWIST_BUDGET")
+    if raw is None:
+        return DEFAULT_THETA_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise errors.BadParams(
+            f"SKEWTWIST_BUDGET must be an integer, got {raw!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    default_budget = int(os.environ.get("SKEWTWIST_BUDGET", DEFAULT_THETA_BUDGET))
+    default_budget = _env_budget()
     parser = argparse.ArgumentParser(
         prog="skewtwist",
         description="Verify, twist, enumerate and classify finite YBE solutions and skew braces.",
@@ -351,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except errors.TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

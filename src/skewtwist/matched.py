@@ -17,7 +17,7 @@ from .braces import BraidedGroup, verify_brace_twist
 from .errors import AxiomFails, InvalidTheta, SizeMismatch, TooLarge
 from .groups import FiniteGroup
 from .solutions import TwistReport, TwistTriple
-from .tables import PairMap, TripleMap, perm_is_bijective
+from .tables import PairMap, TripleMap
 
 ActionTable = tuple[tuple[int, ...], ...]
 
@@ -120,32 +120,47 @@ def pair_from_brace(b: BraidedGroup) -> MatchedPair:
 
 
 def _theta_units_ok(p: MatchedPair, theta: ThetaMap) -> tuple[bool, tuple | None]:
-    em, ep = p.gminus.e, p.gplus.e
-    for a in range(p.gminus.n):
-        if theta(em, a)[1] != ep:
+    nm, em, ep = p.gminus.n, p.gminus.e, p.gplus.e
+    t1, t2 = theta.theta1, theta.theta2
+    for a in range(nm):
+        if t2[em * nm + a] != ep:
             return False, (em, a)
-        if theta(a, em)[0] != ep:
+        if t1[a * nm + em] != ep:
             return False, (a, em)
     return True, None
 
 
-def _theta_condition_failure(p: MatchedPair, theta: ThetaMap, a: int, b: int, c: int):
-    """Evaluate the three cocycle conditions at (a, b, c); return the failing
-    condition name or None."""
-    mm, mp = p.gminus, p.gplus
+def _theta_cocycle_failure(p: MatchedPair, theta: ThetaMap):
+    """The first cocycle condition that fails, as (name, (a, b, c)), or None.
+
+    Points (a, b, c) are scanned in lexicographic order and the conditions
+    theta-1, theta-2, theta-3 in that order at each point.  With
+    g1 = Theta_1(ab, c), g2 = Theta_2(a, bc), A = g1 |> a,
+    B = (g1 <| a) |> b, C = g2 |> b and D = (g2 <| b) |> c:
+      theta-1  Theta_1(A, B) . g1 = Theta_1(a, bc)
+      theta-2  Theta_2(A, B) . (g1 <| a) = Theta_1(C, D) . g2
+      theta-3  Theta_2(ab, c) = Theta_2(C, D) . (g2 <| b)
+    """
+    nm = p.gminus.n
+    mmul, pmul = p.gminus.mul, p.gplus.mul
     actL, actR = p.act_left, p.act_right
-    g1 = theta(mm.op(a, b), c)[0]            # Theta_1(ab, c)
-    g2 = theta(a, mm.op(b, c))[1]            # Theta_2(a, bc)
-    A = actL[g1][a]
-    B = actL[actR[g1][a]][b]
-    C = actL[g2][b]
-    D = actL[actR[g2][b]][c]
-    if mp.op(theta(A, B)[0], g1) != theta(a, mm.op(b, c))[0]:
-        return "theta-1"
-    if mp.op(theta(A, B)[1], actR[g1][a]) != mp.op(theta(C, D)[0], g2):
-        return "theta-2"
-    if theta(mm.op(a, b), c)[1] != mp.op(theta(C, D)[1], actR[g2][b]):
-        return "theta-3"
+    t1, t2 = theta.theta1, theta.theta2
+    for a in range(nm):
+        for b in range(nm):
+            ab = mmul[a][b] * nm
+            for c in range(nm):
+                p1 = ab + c                  # (ab, c)
+                p2 = a * nm + mmul[b][c]     # (a, bc)
+                g1, g2 = t1[p1], t2[p2]
+                ra, rb = actR[g1][a], actR[g2][b]
+                AB = actL[g1][a] * nm + actL[ra][b]
+                CD = actL[g2][b] * nm + actL[rb][c]
+                if pmul[t1[AB]][g1] != t1[p2]:
+                    return "theta-1", (a, b, c)
+                if pmul[t2[AB]][ra] != pmul[t1[CD]][g2]:
+                    return "theta-2", (a, b, c)
+                if t2[p1] != pmul[t2[CD]][rb]:
+                    return "theta-3", (a, b, c)
     return None
 
 
@@ -168,13 +183,9 @@ def check_theta(p: MatchedPair, theta: ThetaMap) -> TwistReport:
     ok, witness = _theta_units_ok(p, theta)
     if not ok:
         return TwistReport(False, "theta-unit", witness)
-    nm = p.gminus.n
-    for a in range(nm):
-        for b in range(nm):
-            for c in range(nm):
-                failed = _theta_condition_failure(p, theta, a, b, c)
-                if failed is not None:
-                    return TwistReport(False, failed, (a, b, c))
+    failure = _theta_cocycle_failure(p, theta)
+    if failure is not None:
+        return TwistReport(False, *failure)
     if not f_theta(p, theta).is_bijective:
         return TwistReport(False, "f-theta-bijective", None)
     return TwistReport(True)
@@ -211,6 +222,48 @@ def triple_from_theta(p: MatchedPair, theta: ThetaMap, base: BraidedGroup) -> Tw
     return triple
 
 
+def _cocycle_watches(p: MatchedPair):
+    """Watch lists for the Theta search: per flat entry i = a*|G-| + b, the
+    cocycle instances whose partial check can change once Theta(a, b) is set.
+
+    Each instance (a, b, c) is stored as (p1, p2, AB, RA, CD, RB): the flat
+    entries p1 = (ab, c) and p2 = (a, bc), and, indexed by an element g of
+    G+, the flat entry (A, B) and g <| a for g1 = g, and the flat entry
+    (C, D) and g <| b for g2 = g (notation of _theta_cocycle_failure).
+    An instance reads p1 and p2, then (A, B) through Theta_1(p1) and (C, D)
+    through Theta_2(p2), and checks nothing until p1 and p2 are both set.
+    The search sets entries in increasing order, so when it sets i exactly
+    the entries below i are already set, and an instance's outcome can only
+    change at i = max(p1, p2) (`direct`) or when i is its (A, B) or (C, D)
+    entry with i > max(p1, p2) (`via1` and `via2`, gated on Theta_1(p1) = g
+    and Theta_2(p2) = g respectively, as (gate entry, g, instance)).
+    """
+    nm, np_ = p.gminus.n, p.gplus.n
+    mmul = p.gminus.mul
+    actL, actR = p.act_left, p.act_right
+    direct = [[] for _ in range(nm * nm)]
+    via1 = [[] for _ in range(nm * nm)]
+    via2 = [[] for _ in range(nm * nm)]
+    for a in range(nm):
+        for b in range(nm):
+            for c in range(nm):
+                p1 = mmul[a][b] * nm + c
+                p2 = a * nm + mmul[b][c]
+                RA = tuple(actR[g][a] for g in range(np_))
+                RB = tuple(actR[g][b] for g in range(np_))
+                AB = tuple(actL[g][a] * nm + actL[RA[g]][b] for g in range(np_))
+                CD = tuple(actL[g][b] * nm + actL[RB[g]][c] for g in range(np_))
+                inst = (p1, p2, AB, RA, CD, RB)
+                last = max(p1, p2)
+                direct[last].append(inst)
+                for g in range(np_):
+                    if AB[g] > last:
+                        via1[AB[g]].append((p1, g, inst))
+                    if CD[g] > last:
+                        via2[CD[g]].append((p2, g, inst))
+    return direct, via1, via2
+
+
 def enumerate_thetas(
     p: MatchedPair, budget: int = DEFAULT_THETA_BUDGET
 ) -> Iterator[ThetaMap]:
@@ -220,51 +273,49 @@ def enumerate_thetas(
     candidate values in lexicographic order of the output pair, so the stream
     order is deterministic.  Partial assignments are pruned by the unit
     conditions, by injectivity of the partially built F_Theta, and by any
-    cocycle-condition instance all of whose lookups already resolve.  Raises
-    TooLarge once more than `budget` assignments have been attempted.
+    cocycle-condition instance all of whose lookups already resolve.  Every
+    instance held before an assignment, so after assigning an entry only
+    the instances that read it are re-checked, from watch lists built once
+    per call (_cocycle_watches); the pruning is the same as re-checking all
+    |G-|^3 instances.  Each map found is re-checked in full by check_theta
+    before it is yielded.  Raises TooLarge once more than `budget`
+    assignments have been attempted.
     """
     nm, np_ = p.gminus.n, p.gplus.n
-    mm, mp = p.gminus, p.gplus
-    actL, actR = p.act_left, p.act_right
-    em, ep = mm.e, mp.e
-    entries = [(a, b) for a in range(nm) for b in range(nm)]
+    pmul = p.gplus.mul
+    actL = p.act_left
+    em, ep = p.gminus.e, p.gplus.e
     theta1 = [-1] * (nm * nm)
     theta2 = [-1] * (nm * nm)
     f_used: set[tuple[int, int]] = set()
-    f_of: list[tuple[int, int] | None] = [None] * (nm * nm)
+    direct, via1, via2 = _cocycle_watches(p)
     attempts = 0
 
-    def lookup(a, b):
-        i = a * nm + b
-        if theta1[i] < 0:
-            return None
-        return theta1[i], theta2[i]
+    def holds(inst) -> bool:
+        # p1 and p2 are set whenever an instance is re-checked.
+        p1, p2, AB, RA, CD, RB = inst
+        g1, g2 = theta1[p1], theta2[p2]
+        ab, cd = AB[g1], CD[g2]
+        u, w = theta1[ab], theta1[cd]
+        if u >= 0:
+            if pmul[u][g1] != theta1[p2]:
+                return False
+            if w >= 0 and pmul[theta2[ab]][RA[g1]] != pmul[w][g2]:
+                return False
+        if w >= 0 and theta2[p1] != pmul[theta2[cd]][RB[g2]]:
+            return False
+        return True
 
-    def partial_ok() -> bool:
-        for a in range(nm):
-            for b in range(nm):
-                for c in range(nm):
-                    th_ab_c = lookup(mm.op(a, b), c)
-                    th_a_bc = lookup(a, mm.op(b, c))
-                    if th_ab_c is None or th_a_bc is None:
-                        continue
-                    g1, g2 = th_ab_c[0], th_a_bc[1]
-                    A = actL[g1][a]
-                    B = actL[actR[g1][a]][b]
-                    C = actL[g2][b]
-                    D = actL[actR[g2][b]][c]
-                    th_AB = lookup(A, B)
-                    th_CD = lookup(C, D)
-                    if th_AB is not None:
-                        if mp.op(th_AB[0], g1) != th_a_bc[0]:
-                            return False
-                        if th_CD is not None and mp.op(th_AB[1], actR[g1][a]) != mp.op(
-                            th_CD[0], g2
-                        ):
-                            return False
-                    if th_CD is not None:
-                        if th_ab_c[1] != mp.op(th_CD[1], actR[g2][b]):
-                            return False
+    def consistent(i: int) -> bool:
+        for inst in direct[i]:
+            if not holds(inst):
+                return False
+        for gate, g, inst in via1[i]:
+            if theta1[gate] == g and not holds(inst):
+                return False
+        for gate, g, inst in via2[i]:
+            if theta2[gate] == g and not holds(inst):
+                return False
         return True
 
     def candidates(a, b):
@@ -274,13 +325,12 @@ def enumerate_thetas(
             for v in vs:
                 yield u, v
 
-    def extend(k: int) -> Iterator[ThetaMap]:
+    def extend(i: int) -> Iterator[ThetaMap]:
         nonlocal attempts
-        if k == len(entries):
+        if i == nm * nm:
             yield ThetaMap(nm, np_, tuple(theta1), tuple(theta2))
             return
-        a, b = entries[k]
-        i = a * nm + b
+        a, b = divmod(i, nm)
         for u, v in candidates(a, b):
             attempts += 1
             if attempts > budget:
@@ -290,15 +340,12 @@ def enumerate_thetas(
                 continue
             theta1[i], theta2[i] = u, v
             f_used.add(fval)
-            f_of[i] = fval
-            if partial_ok():
-                yield from extend(k + 1)
+            if consistent(i):
+                yield from extend(i + 1)
             theta1[i] = theta2[i] = -1
             f_used.discard(fval)
-            f_of[i] = None
-        return
 
     for theta in extend(0):
-        # Defensive full re-check; cheap relative to the search itself.
+        # Defensive full re-check of every map the search emits.
         if check_theta(p, theta):
             yield theta

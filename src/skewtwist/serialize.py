@@ -48,6 +48,12 @@ def _triple_table(tm: TripleMap) -> list[list[int]]:
     return out
 
 
+def _is_element(v: Any, n: int) -> bool:
+    """An integer in 0..n-1.  JSON true/false load as bool, a subclass of
+    int, so the type is compared exactly."""
+    return type(v) is int and 0 <= v < n
+
+
 def _read_pair_table(n: int, rows: Any) -> PairMap:
     if not isinstance(rows, list) or len(rows) != n * n:
         raise DocumentError(f"pair table must have {n * n} rows")
@@ -56,7 +62,7 @@ def _read_pair_table(n: int, rows: Any) -> PairMap:
         if not isinstance(row, list) or len(row) != 2:
             raise DocumentError("pair table rows must be [a, b]")
         a, b = row
-        if not all(isinstance(v, int) and 0 <= v < n for v in (a, b)):
+        if not all(_is_element(v, n) for v in (a, b)):
             raise DocumentError("pair table entry out of range")
         table.append(a * n + b)
     return PairMap(n, tuple(table))
@@ -70,7 +76,7 @@ def _read_triple_table(n: int, rows: Any) -> TripleMap:
         if not isinstance(row, list) or len(row) != 3:
             raise DocumentError("triple table rows must be [a, b, c]")
         a, b, c = row
-        if not all(isinstance(v, int) and 0 <= v < n for v in (a, b, c)):
+        if not all(_is_element(v, n) for v in (a, b, c)):
             raise DocumentError("triple table entry out of range")
         table.append((a * n + b) * n + c)
     return TripleMap(n, tuple(table))
@@ -83,7 +89,7 @@ def _read_rows(n: int, m: int, rows: Any, bound: int, what: str) -> tuple[tuple[
     for row in rows:
         if not isinstance(row, list) or len(row) != m:
             raise DocumentError(f"{what} rows must have {m} entries")
-        if not all(isinstance(v, int) and 0 <= v < bound for v in row):
+        if not all(_is_element(v, bound) for v in row):
             raise DocumentError(f"{what} entry out of range")
         out.append(tuple(row))
     return tuple(out)
@@ -91,7 +97,7 @@ def _read_rows(n: int, m: int, rows: Any, bound: int, what: str) -> tuple[tuple[
 
 def _read_n(doc: dict, key: str = "n") -> int:
     n = doc.get(key)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DocumentError(f"missing or invalid {key!r}")
     return n
 
@@ -227,7 +233,7 @@ def doc_to_theta(doc: dict) -> ThetaMap:
         if not isinstance(row, list) or len(row) != 2:
             raise DocumentError("theta rows must be [u, v]")
         u, v = row
-        if not all(isinstance(x, int) and 0 <= x < np_ for x in (u, v)):
+        if not all(_is_element(x, np_) for x in (u, v)):
             raise DocumentError("theta entry out of range")
         t1.append(u)
         t2.append(v)

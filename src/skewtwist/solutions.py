@@ -16,8 +16,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import (
     BraidFails,
     Degenerate,
@@ -246,6 +244,8 @@ def brute_force_twists(s: YbeSolution) -> Iterator[TwistTriple]:
     """
     if s.n != 2:
         raise TooLarge("brute-force twist enumeration is capped at n = 2")
+    import numpy as np  # the only numpy user; importing it costs ~14 MB RSS
+
     n = s.n
     phis = np.array(list(itertools.permutations(range(8))), dtype=np.int64)
     r12 = np.array(lift_12(s.r).table)

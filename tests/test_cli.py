@@ -262,3 +262,81 @@ def test_all_generators_roundtrip(tmp_path, capsys):
             assert canonical_dumps(solution_to_doc(obj)) == out
         else:
             assert canonical_dumps(brace_to_doc(obj)) == out
+
+
+def test_non_integer_budget_environment_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "abc")
+    code, out, err = run(capsys, "gen", "z4-brace")
+    assert (code, out) == (2, "")
+    assert err == "error: SKEWTWIST_BUDGET must be an integer, got 'abc'\n"
+    # an integer value is the default --budget
+    import skewtwist as st
+    from skewtwist.matched import pair_from_brace
+    from skewtwist.serialize import matched_pair_to_doc
+
+    pair = tmp_path / "pair.json"
+    pair.write_text(canonical_dumps(matched_pair_to_doc(pair_from_brace(st.z4_brace()))))
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "10")
+    code, out, err = run(capsys, "enumerate", "thetas", "--pair", str(pair))
+    assert code == 3
+
+
+def _documents_with_a_one():
+    """(document, key whose rows hold an entry equal to 1, --base document)
+    for each integer position a document reader checks."""
+    import skewtwist as st
+    from skewtwist.matched import ThetaMap, pair_from_brace
+    from skewtwist.serialize import group_to_doc, matched_pair_to_doc, theta_to_doc
+
+    b = st.z4_brace()
+    p = pair_from_brace(b)
+    return {
+        "pair-table": (solution_to_doc(st.flip_solution(2)), "r", None),
+        "triple-table": (twist_to_doc(st.theta_canonical_twist(b)), "phi", brace_to_doc(b)),
+        "theta-row": (theta_to_doc(ThetaMap.canonical(p)), "theta", None),
+        "action-left": (matched_pair_to_doc(p), "actl", None),
+        "action-right": (matched_pair_to_doc(p), "actr", None),
+        "mul": (group_to_doc(st.cyclic(3)), "mul", None),
+    }
+
+
+def _verify_doc(tmp_path, capsys, doc, base):
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    argv = ["verify", "--in", str(path)]
+    if base is not None:
+        base_path = tmp_path / "base.json"
+        base_path.write_text(canonical_dumps(base))
+        argv += ["--base", str(base_path)]
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "position",
+    ["pair-table", "triple-table", "theta-row", "action-left", "action-right", "mul"],
+)
+def test_json_boolean_table_entry_exits_2(tmp_path, capsys, position):
+    doc, key, base = _documents_with_a_one()[position]
+    assert _verify_doc(tmp_path, capsys, doc, base)[0] == 0
+    row = next(row for row in doc[key] if 1 in row)
+    row[row.index(1)] = True  # equal to 1 in Python, but not a JSON integer
+    code, out, err = _verify_doc(tmp_path, capsys, doc, base)
+    assert code == 2
+    assert err.startswith("error: ") and "out of range" in err
+
+
+@pytest.mark.parametrize("key", ["n", "nminus", "nplus"])
+def test_json_boolean_size_exits_2(tmp_path, capsys, key):
+    import skewtwist as st
+    from skewtwist.matched import ThetaMap, pair_from_brace
+    from skewtwist.serialize import theta_to_doc
+
+    if key == "n":
+        doc = solution_to_doc(st.flip_solution(1))
+    else:
+        doc = theta_to_doc(ThetaMap.canonical(pair_from_brace(st.trivial_brace(st.cyclic(1)))))
+    assert _verify_doc(tmp_path, capsys, doc, None)[0] == 0
+    doc[key] = True
+    code, out, err = _verify_doc(tmp_path, capsys, doc, None)
+    assert code == 2
+    assert err == f"error: missing or invalid {key!r}\n"
