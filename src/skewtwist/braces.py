@@ -18,16 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AxiomFails, BraidFails, InvalidTwist, NotABrace, NotBijective, ShapeMismatch, SizeMismatch
-from .groups import FiniteGroup
+from .groups import FiniteGroup, MulTable
 from .solutions import (
     TwistReport,
     TwistTriple,
     YbeSolution,
-    apply_twist,
+    _conjugate,
+    _invert,
     check_solution,
     compose_twists,
     doikou_twist,
-    invert_twist,
     verify_twist,
 )
 from .tables import (
@@ -177,21 +177,30 @@ def verify_brace_twist(b: BraidedGroup, t: TwistTriple) -> TwistReport:
     return TwistReport(True)
 
 
+def _twisted_tables(b: BraidedGroup, t: TwistTriple) -> tuple[MulTable, PairMap]:
+    """The multiplication m . F^-1 and the braiding F r F^-1, unchecked."""
+    n = b.n
+    mul = b.group.mul
+    flat = tuple(mul[v // n][v % n] for v in t.F.inverse().table)
+    return tuple(flat[k:k + n] for k in range(0, n * n, n)), _conjugate(t, b.r)
+
+
+def _twisted_brace(b: BraidedGroup, t: TwistTriple) -> BraidedGroup:
+    """The twisted brace, validated as a braided group; t itself is not checked."""
+    mul, r = _twisted_tables(b, t)
+    return check_braided_group(FiniteGroup.from_table(mul), r)
+
+
 def apply_brace_twist(b: BraidedGroup, t: TwistTriple) -> BraidedGroup:
-    """The twisted brace: multiplication m . F^-1, braiding F r F^-1."""
+    """The twisted brace: multiplication m . F^-1, braiding F r F^-1.
+
+    t is verified on b once (T1-T3, G1-G4, L1/L2); the result is validated as
+    a braided group.
+    """
     report = verify_brace_twist(b, t)
     if not report:
         raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
-    n = b.n
-    finv = t.F.inverse()
-    new_mul = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            a, c = finv(x, y)
-            new_mul[x][y] = b.group.mul[a][c]
-    new_group = FiniteGroup.from_table(new_mul)
-    new_r = apply_twist(b.solution, t).r
-    return check_braided_group(new_group, new_r)
+    return _twisted_brace(b, t)
 
 
 def theta_canonical_twist(b: BraidedGroup) -> TwistTriple:
@@ -200,7 +209,11 @@ def theta_canonical_twist(b: BraidedGroup) -> TwistTriple:
 
 
 def compose_brace_twists(outer: TwistTriple, inner: TwistTriple, b: BraidedGroup) -> TwistTriple:
-    """Composition in the subgroupoid of braces; the result is re-verified."""
+    """Composition in the subgroupoid of braces.
+
+    compose_twists checks inner on b and outer on the twisted solution (T1-T3,
+    once each); the composite is then verified once as a brace twist on b.
+    """
     composed = compose_twists(outer, inner, b.solution)
     report = verify_brace_twist(b, composed)
     if not report:
@@ -209,10 +222,16 @@ def compose_brace_twists(outer: TwistTriple, inner: TwistTriple, b: BraidedGroup
 
 
 def invert_brace_twist(t: TwistTriple, b: BraidedGroup) -> TwistTriple:
-    """Inverse twist, valid on the twisted brace; re-verified there."""
-    inverse = invert_twist(t, b.solution)
-    twisted = apply_brace_twist(b, t)
-    report = verify_brace_twist(twisted, inverse)
+    """Inverse twist, valid on the twisted brace.
+
+    t is verified once as a brace twist on b, and the inverse once on the
+    twisted brace.
+    """
+    report = verify_brace_twist(b, t)
+    if not report:
+        raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
+    inverse = _invert(t)
+    report = verify_brace_twist(_twisted_brace(b, t), inverse)
     if not report:
         raise InvalidTwist(f"inverse: {report.axiom} fails at {report.witness}")
     return inverse

@@ -16,17 +16,16 @@ from typing import Iterator
 
 from .braces import (
     BraidedGroup,
-    apply_brace_twist,
-    compose_brace_twists,
+    _twisted_tables,
     invert_brace_twist,
     theta_canonical_twist,
     trivial_brace,
     verify_brace_twist,
 )
-from .errors import InvalidFamily, NotClassifiable, SizeMismatch
+from .errors import InvalidFamily, InvalidTwist, NotClassifiable, SizeMismatch
 from .groups import FiniteGroup, are_isomorphic, enumerate_isomorphisms
-from .solutions import TwistTriple
-from .tables import PairMap, Perm, TripleMap, perm_inverse, perm_is_bijective
+from .solutions import TwistTriple, _compose
+from .tables import PairMap, Perm, TripleMap, first_pair_difference, perm_inverse, perm_is_bijective
 
 
 @dataclass(frozen=True)
@@ -64,40 +63,47 @@ def make_iso_family(source: FiniteGroup, target: FiniteGroup, maps) -> IsoFamily
     return IsoFamily(source, target, maps)
 
 
+def _family_triple(fam: IsoFamily) -> TwistTriple:
+    """The family twist of twist_from_family, built with no axiom check.
+
+    With q = x*y*z, alpha = f^-1_{f_q(y*z)} . f_q and beta = f^-1_{f_q(x*y)} . f_q:
+    F(x,y) = (f_xy(x), f_xy(y)), Phi(x,y,z) = (f_q(x), alpha(y), alpha(z)) and
+    Psi(x,y,z) = (beta(x), beta(y), f_q(z)).
+    """
+    n = fam.n
+    mul = fam.source.mul
+    f = fam.maps
+    finv = [perm_inverse(m) for m in f]
+    F = []
+    for x in range(n):
+        for y in range(n):
+            fp = f[mul[x][y]]
+            F.append(fp[x] * n + fp[y])
+    Phi = []
+    Psi = []
+    for x in range(n):
+        for y in range(n):
+            d = mul[x][y]
+            for z in range(n):
+                c = mul[y][z]
+                fq = f[mul[d][z]]
+                alpha = finv[fq[c]]
+                beta = finv[fq[d]]
+                Phi.append((fq[x] * n + alpha[fq[y]]) * n + alpha[fq[z]])
+                Psi.append((beta[fq[x]] * n + beta[fq[y]]) * n + fq[z])
+    return TwistTriple(PairMap(n, tuple(F)), TripleMap(n, tuple(Phi)), TripleMap(n, tuple(Psi)))
+
+
 def twist_from_family(fam: IsoFamily) -> TwistTriple:
     """The twist on the trivial brace of the source given by F(x,y) = (f_xy(x), f_xy(y)).
 
     Phi and Psi are filled in with the connecting maps
     alpha_{x,c} = f^-1_{f_xc(c)} . f_xc and beta_{c,z} = f^-1_{f_cz(c)} . f_cz,
-    with all index products taken in the source group.
+    with all index products taken in the source group.  The twist is verified
+    on the trivial brace of the source.
     """
-    src = fam.source
-    n = src.n
-    f = fam.maps
-    finv = [perm_inverse(m) for m in f]
-
-    def F_fn(x, y):
-        p = src.op(x, y)
-        return f[p][x], f[p][y]
-
-    def Phi_fn(x, y, z):
-        q = src.op3(x, y, z)
-        c = src.op(y, z)
-        alpha = lambda t: finv[f[q][c]][f[q][t]]
-        return f[q][x], alpha(y), alpha(z)
-
-    def Psi_fn(x, y, z):
-        q = src.op3(x, y, z)
-        d = src.op(x, y)
-        beta = lambda t: finv[f[q][d]][f[q][t]]
-        return beta(x), beta(y), f[q][z]
-
-    triple = TwistTriple(
-        PairMap.from_callable(n, F_fn),
-        TripleMap.from_callable(n, Phi_fn),
-        TripleMap.from_callable(n, Psi_fn),
-    )
-    report = verify_brace_twist(trivial_brace(src), triple)
+    triple = _family_triple(fam)
+    report = verify_brace_twist(trivial_brace(fam.source), triple)
     if not report:
         raise InvalidFamily(f"family twist fails {report.axiom} at {report.witness}")
     return triple
@@ -141,28 +147,63 @@ def enumerate_families(src: FiniteGroup, tgt: FiniteGroup) -> Iterator[IsoFamily
         yield make_iso_family(src, tgt, choice)
 
 
-def count_twists(b1: BraidedGroup, b2: BraidedGroup) -> int:
-    """Number of twists b1 -> b2: the product of per-element stabilizer sizes
-    between the additive groups; zero iff they are non-isomorphic."""
-    if b1.n != b2.n:
+def count_families(src: FiniteGroup, tgt: FiniteGroup) -> int:
+    """Number of families src -> tgt, i.e. the length of enumerate_families:
+    the product of per-element stabilizer sizes; zero when the orders differ."""
+    if src.n != tgt.n:
         return 0
     return math.prod(
-        sum(1 for _ in enumerate_isomorphisms(b1.star, b2.star, fixed=(g, g)))
-        for g in range(b1.n)
+        sum(1 for _ in enumerate_isomorphisms(src, tgt, fixed=(g, g))) for g in range(src.n)
     )
 
 
-def enumerate_brace_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[TwistTriple]:
-    """All twists b1 -> b2, as canonical-twist conjugates of family twists."""
+def count_twists(b1: BraidedGroup, b2: BraidedGroup) -> int:
+    """Number of twists b1 -> b2: the number of families between the additive
+    groups; zero iff they are non-isomorphic."""
+    return count_families(b1.star, b2.star)
+
+
+def _family_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[tuple[IsoFamily, TwistTriple]]:
+    """(family, twist) for every twist b1 -> b2, in family order.
+
+    The twist of a family f is Theta2^-1 . T_f . Theta1, built through the
+    unchecked groupoid core.  Theta1 is checked on b1 and Theta2^-1 on the
+    trivial brace of b2's additive group, once per call; each composite is
+    verified once on b1 (T1-T3, G1-G4, L1/L2) and checked to map b1 onto b2.
+    """
     if b1.n != b2.n:
         return
     theta1 = theta_canonical_twist(b1)
-    theta2 = theta_canonical_twist(b2)
-    theta2_inv = invert_brace_twist(theta2, b2)
+    report = verify_brace_twist(b1, theta1)
+    if not report:
+        raise InvalidTwist(f"canonical twist: {report.axiom} fails at {report.witness}")
+    theta2_inv = invert_brace_twist(theta_canonical_twist(b2), b2)
     for fam in enumerate_families(b1.star, b2.star):
-        family_twist = twist_from_family(fam)
-        inner = compose_brace_twists(family_twist, theta1, b1)
-        yield compose_brace_twists(theta2_inv, inner, b1)
+        twist = _compose(theta2_inv, _compose(_family_triple(fam), theta1))
+        report = verify_brace_twist(b1, twist)
+        if not report:
+            raise InvalidTwist(f"composite: {report.axiom} fails at {report.witness}")
+        mul, r = _twisted_tables(b1, twist)
+        if r != b2.r:
+            raise InvalidTwist(
+                f"composite: braiding differs from the target at {first_pair_difference(r, b2.r)}"
+            )
+        if mul != b2.group.mul:
+            where = next(
+                (x, y) for x in range(b1.n) for y in range(b1.n) if mul[x][y] != b2.group.mul[x][y]
+            )
+            raise InvalidTwist(f"composite: multiplication differs from the target at {where}")
+        yield fam, twist
+
+
+def enumerate_brace_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[TwistTriple]:
+    """All twists b1 -> b2, as canonical-twist conjugates of family twists.
+
+    Each emitted twist is verified once on b1 and checked to map b1 onto b2;
+    the intermediate compositions are not re-verified.
+    """
+    for _, twist in _family_twists(b1, b2):
+        yield twist
 
 
 def anytwist_f_matches(

@@ -19,11 +19,13 @@ from .braces import (
     verify_brace_twist,
 )
 from .classification import (
+    _family_twists,
     anytwist_f_matches,
     are_twist_related,
+    count_families,
+    count_twists,
     enumerate_brace_twists,
     enumerate_families,
-    family_from_twist,
     theta_canonical_twist,
 )
 from .matched import DEFAULT_THETA_BUDGET, enumerate_thetas, triple_from_theta
@@ -188,11 +190,18 @@ def _emit_stream(items, out: str | None) -> int:
     return 0
 
 
+def _check_count(what: str, count: int, budget: int) -> None:
+    """Refuse an enumeration whose size, known up front, exceeds the budget."""
+    if count > budget:
+        raise errors.TooLarge(f"{what} enumeration of {count} items exceeded budget of {budget}")
+
+
 def cmd_enumerate(args) -> int:
     budget = args.budget
     if args.what == "twists":
         b1 = _require(_load(args.b1), BraidedGroup, "--b1")
         b2 = _require(_load(args.b2), BraidedGroup, "--b2")
+        _check_count("twist", count_twists(b1, b2), budget)
         return _emit_stream(
             (twist_to_doc(t) for t in enumerate_brace_twists(b1, b2)), args.out
         )
@@ -201,6 +210,7 @@ def cmd_enumerate(args) -> int:
 
         src = _require(_load(args.src), FiniteGroup, "--src")
         tgt = _require(_load(args.tgt), FiniteGroup, "--tgt")
+        _check_count("family", count_families(src, tgt), budget)
         return _emit_stream(
             (family_to_doc(f) for f in enumerate_families(src, tgt)), args.out
         )
@@ -227,9 +237,7 @@ def cmd_classify(args) -> int:
     if related:
         theta1 = theta_canonical_twist(b1)
         theta2 = theta_canonical_twist(b2)
-        for fam, twist in zip(
-            enumerate_families(b1.star, b2.star), enumerate_brace_twists(b1, b2)
-        ):
+        for fam, twist in _family_twists(b1, b2):
             twists.append(
                 {
                     "family_maps": [list(m) for m in fam.maps],

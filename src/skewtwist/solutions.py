@@ -130,47 +130,64 @@ def verify_twist(s: YbeSolution, t: TwistTriple) -> TwistReport:
     return _check_twist_axioms(s, t)
 
 
+def _conjugate(t: TwistTriple, r: PairMap) -> PairMap:
+    """F r F^-1, the solution a twist produces; F must be bijective."""
+    return compose_pairmaps(t.F, compose_pairmaps(r, t.F.inverse()))
+
+
 def apply_twist(s: YbeSolution, t: TwistTriple) -> YbeSolution:
     """The twisted solution F r F^-1, revalidated against the braid equation."""
     report = verify_twist(s, t)
     if not report:
         raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
-    twisted = compose_pairmaps(t.F, compose_pairmaps(s.r, t.F.inverse()))
-    return check_solution(s.n, twisted)
+    return check_solution(s.n, _conjugate(t, s.r))
+
+
+def _compose(outer: TwistTriple, inner: TwistTriple) -> TwistTriple:
+    """The composite twist (G F, F23^-1 phi F23 Phi, F12^-1 psi F12 Psi) of
+    outer = (G, phi, psi) after inner = (F, Phi, Psi), with no axiom check."""
+    f12, f23 = lift_12(inner.F), lift_23(inner.F)
+    finv = inner.F.inverse()
+    return TwistTriple(
+        compose_pairmaps(outer.F, inner.F),
+        compose_triplemaps(lift_23(finv), compose_triplemaps(outer.Phi, compose_triplemaps(f23, inner.Phi))),
+        compose_triplemaps(lift_12(finv), compose_triplemaps(outer.Psi, compose_triplemaps(f12, inner.Psi))),
+    )
+
+
+def _invert(t: TwistTriple) -> TwistTriple:
+    """The inverse twist (F^-1, F23 Phi^-1 F23^-1, F12 Psi^-1 F12^-1), with no axiom check."""
+    finv = t.F.inverse()
+    return TwistTriple(
+        finv,
+        compose_triplemaps(lift_23(t.F), compose_triplemaps(t.Phi.inverse(), lift_23(finv))),
+        compose_triplemaps(lift_12(t.F), compose_triplemaps(t.Psi.inverse(), lift_12(finv))),
+    )
 
 
 def compose_twists(outer: TwistTriple, inner: TwistTriple, s: YbeSolution) -> TwistTriple:
     """Groupoid composition: inner twists s, outer twists the result.
 
-    The composite is (G F, F23^-1 phi F23 Phi, F12^-1 psi F12 Psi).
+    inner is verified on s and outer on the twisted solution, once each; the
+    composite is (G F, F23^-1 phi F23 Phi, F12^-1 psi F12 Psi).
     """
     inner_report = verify_twist(s, inner)
     if not inner_report:
         raise InvalidTwist(f"inner twist: {inner_report.axiom} fails at {inner_report.witness}")
-    mid = apply_twist(s, inner)
+    mid = check_solution(s.n, _conjugate(inner, s.r))
     outer_report = verify_twist(mid, outer)
     if not outer_report:
         raise InvalidTwist(f"outer twist: {outer_report.axiom} fails at {outer_report.witness}")
-    f12, f23 = lift_12(inner.F), lift_23(inner.F)
-    f12i, f23i = f12.inverse(), f23.inverse()
-    return TwistTriple(
-        compose_pairmaps(outer.F, inner.F),
-        compose_triplemaps(f23i, compose_triplemaps(outer.Phi, compose_triplemaps(f23, inner.Phi))),
-        compose_triplemaps(f12i, compose_triplemaps(outer.Psi, compose_triplemaps(f12, inner.Psi))),
-    )
+    return _compose(outer, inner)
 
 
 def invert_twist(t: TwistTriple, s: YbeSolution) -> TwistTriple:
-    """The inverse twist (F^-1, F23 Phi^-1 F23^-1, F12 Psi^-1 F12^-1) on F r F^-1."""
+    """The inverse twist (F^-1, F23 Phi^-1 F23^-1, F12 Psi^-1 F12^-1) on F r F^-1;
+    t is verified on s once."""
     report = verify_twist(s, t)
     if not report:
         raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
-    f12, f23 = lift_12(t.F), lift_23(t.F)
-    return TwistTriple(
-        t.F.inverse(),
-        compose_triplemaps(f23, compose_triplemaps(t.Phi.inverse(), f23.inverse())),
-        compose_triplemaps(f12, compose_triplemaps(t.Psi.inverse(), f12.inverse())),
-    )
+    return _invert(t)
 
 
 def doikou_twist(s: YbeSolution) -> TwistTriple:

@@ -68,7 +68,7 @@ class PairMap:
         nn = self.n * self.n
         if len(self.table) != nn:
             raise SizeMismatch(f"pair table has {len(self.table)} entries, expected {nn}")
-        if any(not (0 <= v < nn) for v in self.table):
+        if self.table and (min(self.table) < 0 or max(self.table) >= nn):
             raise SizeMismatch("pair table entry out of range")
 
     @classmethod
@@ -118,7 +118,7 @@ class TripleMap:
         nnn = self.n ** 3
         if len(self.table) != nnn:
             raise SizeMismatch(f"triple table has {len(self.table)} entries, expected {nnn}")
-        if any(not (0 <= v < nnn) for v in self.table):
+        if self.table and (min(self.table) < 0 or max(self.table) >= nnn):
             raise SizeMismatch("triple table entry out of range")
 
     @classmethod
@@ -170,12 +170,19 @@ def compose_triplemaps(f: TripleMap, g: TripleMap) -> TripleMap:
 
 
 def lift_12(f: PairMap) -> TripleMap:
-    """f applied to components 1,2 and the identity on component 3."""
-    return TripleMap.from_callable(f.n, lambda x, y, z: (*f(x, y), z))
+    """f applied to components 1,2 and the identity on component 3.
+
+    The triple (x, y, z) encodes as (x*n + y)*n + z, so its image is v*n + z
+    with v = f.table[x*n + y].
+    """
+    n = f.n
+    return TripleMap(n, tuple(v * n + z for v in f.table for z in range(n)))
 
 
 def lift_23(f: PairMap) -> TripleMap:
-    return TripleMap.from_callable(f.n, lambda x, y, z: (x, *f(y, z)))
+    """The identity on component 1 and f on components 2,3: x*n^2 + f.table[y*n + z]."""
+    nn = f.n * f.n
+    return TripleMap(f.n, tuple(x * nn + v for x in range(f.n) for v in f.table))
 
 
 def lift_13(f: PairMap) -> TripleMap:

@@ -1,10 +1,21 @@
 """Classification of brace twists by families of additive-group isomorphisms."""
 
-from itertools import permutations
+import dataclasses
+import random
+from itertools import islice, permutations
 
 import pytest
 
-from skewtwist.braces import apply_brace_twist, trivial_brace, verify_brace_twist
+from skewtwist import braces, classification
+from skewtwist.braces import (
+    apply_brace_twist,
+    check_braided_group,
+    compose_brace_twists,
+    invert_brace_twist,
+    theta_canonical_twist,
+    trivial_brace,
+    verify_brace_twist,
+)
 from skewtwist.classification import (
     anytwist_f_matches,
     are_twist_related,
@@ -16,9 +27,11 @@ from skewtwist.classification import (
     make_iso_family,
     twist_from_family,
 )
-from skewtwist.errors import InvalidFamily, NotClassifiable
+from skewtwist.errors import InvalidFamily, InvalidTwist, NotClassifiable
 from skewtwist.generators import z4_brace
-from skewtwist.groups import cyclic, klein, symmetric
+from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
+from skewtwist.solutions import TwistTriple
+from skewtwist.tables import PairMap, TripleMap, perm_inverse
 
 
 def oracle_family_count(g, h):
@@ -159,3 +172,140 @@ def test_enumeration_is_deterministic():
     second = [f.maps for f in enumerate_families(g, g)]
     assert first == second
     assert first == sorted(first)
+
+
+def reference_family_twist(fam):
+    """The family twist built entry by entry through closures, then verified."""
+    src = fam.source
+    n = src.n
+    f = fam.maps
+    finv = [perm_inverse(m) for m in f]
+
+    def F_fn(x, y):
+        p = src.op(x, y)
+        return f[p][x], f[p][y]
+
+    def Phi_fn(x, y, z):
+        q = src.op3(x, y, z)
+        c = src.op(y, z)
+        alpha = lambda t: finv[f[q][c]][f[q][t]]
+        return f[q][x], alpha(y), alpha(z)
+
+    def Psi_fn(x, y, z):
+        q = src.op3(x, y, z)
+        d = src.op(x, y)
+        beta = lambda t: finv[f[q][d]][f[q][t]]
+        return beta(x), beta(y), f[q][z]
+
+    triple = TwistTriple(
+        PairMap.from_callable(n, F_fn),
+        TripleMap.from_callable(n, Phi_fn),
+        TripleMap.from_callable(n, Psi_fn),
+    )
+    assert verify_brace_twist(trivial_brace(src), triple)
+    return triple
+
+
+def reference_brace_twists(b1, b2):
+    """The fully checked path: each family twist, then two checked compositions,
+    each of which re-verifies its inputs and its result."""
+    if b1.n != b2.n:
+        return
+    theta1 = theta_canonical_twist(b1)
+    theta2_inv = invert_brace_twist(theta_canonical_twist(b2), b2)
+    for fam in enumerate_families(b1.star, b2.star):
+        family_twist = reference_family_twist(fam)
+        assert twist_from_family(fam) == family_twist
+        inner = compose_brace_twists(family_twist, theta1, b1)
+        yield compose_brace_twists(theta2_inv, inner, b1)
+
+
+def relabel(b, p):
+    """The brace transported along the bijection p of its carrier."""
+    n = b.n
+    pi = perm_inverse(p)
+    mul = [[p[b.group.op(pi[x], pi[y])] for y in range(n)] for x in range(n)]
+    r = PairMap.from_callable(n, lambda x, y: tuple(p[c] for c in b.r(pi[x], pi[y])))
+    return check_braided_group(FiniteGroup.from_table(mul), r)
+
+
+REFERENCE_CASES = {
+    "Z2": (lambda: trivial_brace(cyclic(2)), None, None),
+    "Z3": (lambda: trivial_brace(cyclic(3)), None, None),
+    "Z4": (lambda: trivial_brace(cyclic(4)), None, None),
+    "Klein": (lambda: trivial_brace(klein()), None, None),
+    "z4-brace->Z4": (z4_brace, lambda: trivial_brace(cyclic(4)), None),
+    "Z4->Klein": (lambda: trivial_brace(cyclic(4)), lambda: trivial_brace(klein()), None),
+    "S3[:24]": (lambda: trivial_brace(symmetric(3)), None, 24),
+    "Z8[:8]": (lambda: trivial_brace(cyclic(8)), None, 8),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_stream_matches_checked_composition(name):
+    make1, make2, prefix = REFERENCE_CASES[name]
+    b1 = make1()
+    p = tuple(random.Random(name).sample(range(b1.n), b1.n))
+    b1 = relabel(b1, p)
+    b2 = relabel(make2(), p) if make2 else b1
+    got = list(islice(enumerate_brace_twists(b1, b2), prefix))
+    want = list(islice(reference_brace_twists(b1, b2), prefix))
+    assert got == want
+    if name == "Z4->Klein":
+        assert got == []
+    else:
+        assert len(got) == (prefix or count_twists(b1, b2))
+
+
+def test_emitted_twists_get_their_final_check(monkeypatch):
+    """A corrupted family triple must be caught by the one check on the composite."""
+    build = classification._family_triple
+
+    def swapped(fam):
+        t = build(fam)
+        phi = list(t.Phi.table)
+        j = next(j for j in range(1, len(phi)) if phi[j] != phi[0])
+        phi[0], phi[j] = phi[j], phi[0]
+        return TwistTriple(t.F, TripleMap(t.n, tuple(phi)), t.Psi)
+
+    monkeypatch.setattr(classification, "_family_triple", swapped)
+    b = trivial_brace(klein())
+    with pytest.raises(InvalidTwist, match="^composite: "):
+        next(enumerate_brace_twists(b, b))
+
+
+def test_each_twist_is_verified_once(monkeypatch):
+    calls = []
+    verify = braces.verify_brace_twist
+
+    def counted(b, t):
+        calls.append(t)
+        return verify(b, t)
+
+    monkeypatch.setattr(braces, "verify_brace_twist", counted)
+    monkeypatch.setattr(classification, "verify_brace_twist", counted)
+    b = trivial_brace(klein())
+    assert len(list(enumerate_brace_twists(b, b))) == 48
+    # one check per emitted twist, plus Theta1, Theta2 and Theta2^-1 once per call
+    assert len(calls) <= 48 + 3
+
+
+def test_emitted_twists_must_reach_the_target(monkeypatch):
+    """A composite that is a valid twist on b1 but lands on the wrong brace is refused."""
+    # With Theta2^-1 replaced by the identity the composite ends at the trivial
+    # brace of b2's additive group, which is not b2 itself.
+    monkeypatch.setattr(
+        classification, "invert_brace_twist", lambda t, b: TwistTriple.identity(b.n)
+    )
+    b1, b2 = trivial_brace(cyclic(4)), z4_brace()
+    with pytest.raises(InvalidTwist, match="^composite: braiding differs from the target at "):
+        next(enumerate_brace_twists(b1, b2))
+
+
+def test_emitted_twists_must_reach_the_target_multiplication():
+    # An inconsistent target: the braiding (the flip) and the additive group of
+    # trivial Z4, but Klein as its multiplicative group.
+    b1 = trivial_brace(cyclic(4))
+    b2 = dataclasses.replace(b1, group=klein())
+    with pytest.raises(InvalidTwist, match="^composite: multiplication differs from the target at "):
+        next(enumerate_brace_twists(b1, b2))

@@ -175,6 +175,39 @@ def test_enumerate_thetas_budget_exit_code(tmp_path, capsys):
     assert json.loads(lines[-1])["count"] == 256
 
 
+def test_enumerate_twists_and_families_honour_the_budget(tmp_path, capsys):
+    import skewtwist as st
+    from skewtwist.groups import direct_product
+    from skewtwist.serialize import group_to_doc
+
+    # The trivial brace on Z2^3 has 168 * 24^7 = 770,527,199,232 twists.
+    z2_cubed = direct_product(st.cyclic(2), st.klein())
+    brace = tmp_path / "z2cubed.json"
+    brace.write_text(canonical_dumps(brace_to_doc(st.trivial_brace(z2_cubed))))
+    group = tmp_path / "z2cubed-group.json"
+    group.write_text(canonical_dumps(group_to_doc(z2_cubed)))
+    code, out, err = run(capsys, "enumerate", "twists", "--b1", str(brace), "--b2", str(brace),
+                         "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err == "error: twist enumeration of 770527199232 items exceeded budget of 10\n"
+    code, out, err = run(capsys, "enumerate", "families", "--src", str(group), "--tgt", str(group),
+                         "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err == "error: family enumeration of 770527199232 items exceeded budget of 10\n"
+    # the budget bounds the count: Klein has 48 families and 48 twists
+    klein = tmp_path / "klein.json"
+    klein.write_text(canonical_dumps(group_to_doc(st.klein())))
+    kb = tmp_path / "klein-brace.json"
+    run(capsys, "gen", "klein-trivial-brace", "--out", str(kb))
+    for argv in (["families", "--src", str(klein), "--tgt", str(klein)],
+                 ["twists", "--b1", str(kb), "--b2", str(kb)]):
+        code, out, err = run(capsys, "enumerate", *argv, "--budget", "47")
+        assert (code, out) == (3, "")
+        code, out, err = run(capsys, "enumerate", *argv, "--budget", "48")
+        assert code == 0
+        assert json.loads(out.strip().split("\n")[-1]) == {"count": 48, "kind": "report"}
+
+
 def test_classify_report(tmp_path, capsys):
     b1 = tmp_path / "z4brace.json"
     b2 = tmp_path / "trivial.json"

@@ -1,6 +1,7 @@
 """Encoded pair/triple map tables: composition, inversion, lifts."""
 
 import itertools
+import random
 
 import pytest
 
@@ -83,6 +84,16 @@ def test_lifts_are_homomorphisms():
     for lift in (lift_12, lift_23, lift_13):
         assert lift(compose_pairmaps(a, b)) == compose_triplemaps(lift(a), lift(b))
         assert lift(PairMap.identity(n)) == TripleMap.identity(n)
+    # lift_12 and lift_23 are index arithmetic on the table; they must agree
+    # with their per-entry definitions on arbitrary (also non-bijective) maps.
+    rng = random.Random(12)
+    for n in range(1, 6):
+        for _ in range(4):
+            f = PairMap(n, tuple(rng.randrange(n * n) for _ in range(n * n)))
+            g = PairMap(n, tuple(rng.sample(range(n * n), n * n)))
+            for h in (f, g):
+                assert lift_12(h) == TripleMap.from_callable(n, lambda x, y, z: (*h(x, y), z))
+                assert lift_23(h) == TripleMap.from_callable(n, lambda x, y, z: (x, *h(y, z)))
 
 
 def test_lift_positions():
