@@ -16,6 +16,7 @@ braiding by F r F^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import AxiomFails, BraidFails, InvalidTwist, NotABrace, NotBijective, ShapeMismatch, SizeMismatch
 from .groups import FiniteGroup, MulTable
@@ -23,22 +24,35 @@ from .solutions import (
     TwistReport,
     TwistTriple,
     YbeSolution,
+    _braided_solution,
     _conjugate,
     _invert,
-    check_solution,
     compose_twists,
     doikou_twist,
     verify_twist,
 )
 from .tables import (
     PairMap,
+    Perm,
     TripleMap,
     compose_triplemaps,
+    first_mismatch,
+    lift_12_table,
+    lift_23_table,
     lift_12,
     lift_23,
+    perm_compose,
     perm_inverse,
     perm_is_bijective,
 )
+
+
+def _mul_lifts(mul: MulTable) -> tuple[Perm, Perm, Perm]:
+    """The flat m and its lifts m12(x, y, z) = (xy, z), m23(x, y, z) = (x, yz);
+    built per call and never kept, as each lift holds n^3 entries."""
+    n = len(mul)
+    flat = tuple(chain.from_iterable(mul))
+    return flat, lift_12_table(flat, n), lift_23_table(flat, n, n)
 
 
 @dataclass(frozen=True)
@@ -69,39 +83,32 @@ def check_braided_group(group: FiniteGroup, r: PairMap) -> BraidedGroup:
     n = group.n
     if r.n != n:
         raise SizeMismatch(f"universe sizes differ: {r.n} vs {n}")
-    e = group.e
-    mul = group.mul
+    e, mul, t = group.e, group.mul, r.table
     for g in range(n):
-        if r(e, g) != (g, e) or r(g, e) != (e, g):
+        if t[e * n + g] != g * n + e or t[g * n + e] != e * n + g:
             raise AxiomFails("brd1", g)
     if not r.is_bijective:
         raise NotBijective("r is not a bijection of G^2")
-    sigma = [[r(x, y)[0] for y in range(n)] for x in range(n)]
-    gamma = [[r(x, y)[1] for x in range(n)] for y in range(n)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                # brdOpr1: r(xy, z) = (sig_x sig_y z, gam_{sig_y z}(x) . gam_z(y))
-                a = sigma[x][sigma[y][z]]
-                b = mul[gamma[sigma[y][z]][x]][gamma[z][y]]
-                if r(mul[x][y], z) != (a, b):
-                    raise AxiomFails("brdOpr1", (x, y, z))
-                # brdOpr2: r(x, yz) = (sig_x y . sig_{gam_y x} z, gam_z gam_y x)
-                a = mul[sigma[x][y]][sigma[gamma[y][x]][z]]
-                b = gamma[z][gamma[y][x]]
-                if r(x, mul[y][z]) != (a, b):
-                    raise AxiomFails("brdOpr2", (x, y, z))
-    for x in range(n):
-        for y in range(n):
-            if mul[sigma[x][y]][gamma[y][x]] != mul[x][y]:
-                raise AxiomFails("brdcomm", (x, y))
+    flat, m12, m23 = _mul_lifts(mul)
+    r12, r23 = lift_12_table(t, n), lift_23_table(t, n)
+    # brdOpr1 is r m12 = m23 r12 r23 and brdOpr2 is r m23 = m12 r23 r12; the
+    # earlier failing point wins, brdOpr1 at a shared one.
+    one = first_mismatch(n, (t, m12), (m23, r12, r23))
+    two = first_mismatch(n, (t, m23), (m12, r23, r12))
+    if one is not None and (two is None or one <= two):
+        raise AxiomFails("brdOpr1", one)
+    if two is not None:
+        raise AxiomFails("brdOpr2", two)
+    for i, v in enumerate(t):
+        if flat[v] != flat[i]:
+            raise AxiomFails("brdcomm", divmod(i, n))
     try:
-        sol = check_solution(n, r)
+        sol = _braided_solution(r, r12, r23)
     except BraidFails as exc:
         raise AxiomFails("braid", exc.witness) from exc
     if not sol.nondegenerate:
         raise AxiomFails("non-degenerate", None)
-    sigma_inv = [perm_inverse(tuple(row)) for row in sigma]
+    sigma_inv = [perm_inverse(row) for row in sol.sigma]
     star_table = [[mul[x][sigma_inv[x][y]] for y in range(n)] for x in range(n)]
     try:
         star = FiniteGroup.from_table(star_table)
@@ -149,30 +156,32 @@ def verify_brace_twist(b: BraidedGroup, t: TwistTriple) -> TwistReport:
     base = verify_twist(b.solution, t)
     if not base:
         return base
-    n, e, mul = b.n, b.group.e, b.group.mul
+    n, nn, e = b.n, b.n * b.n, b.group.e
+    F, Phi, Psi = t.F.table, t.Phi.table, t.Psi.table
+    for i in range(nn):
+        if Psi[i * n + e] != i * n + e or Phi[e * nn + i] != e * nn + i:
+            return TwistReport(False, "G1", divmod(i, n))
     for x in range(n):
-        for y in range(n):
-            if t.Psi(x, y, e) != (x, y, e) or t.Phi(e, x, y) != (e, x, y):
-                return TwistReport(False, "G1", (x, y))
-    for x in range(n):
-        if t.F(e, x) != (e, x) or t.F(x, e) != (x, e):
+        if F[e * n + x] != e * n + x or F[x * n + e] != x * n + e:
             return TwistReport(False, "G2", (x,))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                p, q, w = t.Phi(x, y, z)
-                if (p, mul[q][w]) != t.F(x, mul[y][z]):
-                    return TwistReport(False, "G3", (x, y, z))
-                p, q, w = t.Psi(x, y, z)
-                if (mul[p][q], w) != t.F(mul[x][y], z):
-                    return TwistReport(False, "G4", (x, y, z))
+    # G3 is m23 Phi = F m23 and G4 is m12 Psi = F m12; the earlier wins, G3 at a tie.
+    _, m12, m23 = _mul_lifts(b.group.mul)
+    g3 = first_mismatch(n, (m23, Phi), (F, m23))
+    g4 = first_mismatch(n, (m12, Psi), (F, m12))
+    if g3 is not None and (g4 is None or g3 <= g4):
+        return TwistReport(False, "G3", g3)
+    if g4 is not None:
+        return TwistReport(False, "G4", g4)
     # Consequences of the axioms; checked as a guard against table bugs.
     for x in range(n):
         for y in range(n):
-            fx, fy = t.F(x, y)
-            if t.Phi(x, y, e) != (fx, fy, e) or t.Phi(x, e, y) != (fx, e, fy):
+            i = x * n + y
+            v = F[i]
+            fx, fy = divmod(v, n)
+            xey, fxefy = (x * n + e) * n + y, (fx * n + e) * n + fy
+            if Phi[i * n + e] != v * n + e or Phi[xey] != fxefy:
                 return TwistReport(False, "L1", (x, y))
-            if t.Psi(e, x, y) != (e, fx, fy) or t.Psi(x, e, y) != (fx, e, fy):
+            if Psi[e * nn + i] != e * nn + v or Psi[xey] != fxefy:
                 return TwistReport(False, "L2", (x, y))
     return TwistReport(True)
 
@@ -180,8 +189,7 @@ def verify_brace_twist(b: BraidedGroup, t: TwistTriple) -> TwistReport:
 def _twisted_tables(b: BraidedGroup, t: TwistTriple) -> tuple[MulTable, PairMap]:
     """The multiplication m . F^-1 and the braiding F r F^-1, unchecked."""
     n = b.n
-    mul = b.group.mul
-    flat = tuple(mul[v // n][v % n] for v in t.F.inverse().table)
+    flat = perm_compose(tuple(chain.from_iterable(b.group.mul)), t.F.inverse().table)
     return tuple(flat[k:k + n] for k in range(0, n * n, n)), _conjugate(t, b.r)
 
 
@@ -248,14 +256,14 @@ def phi_reconstruct(b: BraidedGroup, phi: TripleMap) -> TwistTriple:
         raise SizeMismatch(f"universe sizes differ: {phi.n} vs {n}")
     if not phi.is_bijective:
         raise NotBijective("Phi is not a bijection of G^3")
-    fbar_table = {}
-    for x in range(n):
-        for y in range(n):
-            p, q, w = phi(x, y, e)
-            if w != e:
-                raise ShapeMismatch(f"Phi({x},{y},e) has third component {w} != e")
-            fbar_table[(x, y)] = (p, q)
-    fbar = PairMap.from_callable(n, lambda x, y: fbar_table[(x, y)])
+    fbar = []
+    for i in range(n * n):
+        pq, w = divmod(phi.table[i * n + e], n)
+        if w != e:
+            x, y = divmod(i, n)
+            raise ShapeMismatch(f"Phi({x},{y},e) has third component {w} != e")
+        fbar.append(pq)
+    fbar = PairMap(n, tuple(fbar))
     if not fbar.is_bijective:
         raise NotBijective("Phi-bar is not a bijection of G^2")
     for x in range(n):
@@ -264,28 +272,22 @@ def phi_reconstruct(b: BraidedGroup, phi: TripleMap) -> TwistTriple:
                 raise AxiomFails("Z1", (e, x, y))
         if fbar(x, e) != (x, e):
             raise AxiomFails("Z1", (x, e))
-    # Z2: m23 . Phi = Phi-bar . m23
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                p, q, w = phi(x, y, z)
-                if (p, mul[q][w]) != fbar(x, mul[y][z]):
-                    raise AxiomFails("Z2", (x, y, z))
+    # Z2: m23 . Phi = Phi-bar . m23, then Z3: m12 . Psi = Phi-bar . m12
+    _, m12, m23 = _mul_lifts(mul)
+    witness = first_mismatch(n, (m23, phi.table), (fbar.table, m23))
+    if witness is not None:
+        raise AxiomFails("Z2", witness)
     psi = compose_triplemaps(
         lift_12(fbar).inverse(), compose_triplemaps(lift_23(fbar), phi)
     )
-    # Z3: m12 . Psi = Phi-bar . m12
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                p, q, w = psi(x, y, z)
-                if (mul[p][q], w) != fbar(mul[x][y], z):
-                    raise AxiomFails("Z3", (x, y, z))
-    r12 = lift_12(b.r)
-    if compose_triplemaps(r12, psi) != compose_triplemaps(psi, r12):
+    witness = first_mismatch(n, (m12, psi.table), (fbar.table, m12))
+    if witness is not None:
+        raise AxiomFails("Z3", witness)
+    r12 = lift_12_table(b.r.table, n)
+    if first_mismatch(n, (r12, psi.table), (psi.table, r12)) is not None:
         raise AxiomFails("Z4", None)
-    r23 = lift_23(b.r)
-    if compose_triplemaps(phi, r23) != compose_triplemaps(r23, phi):
+    r23 = lift_23_table(b.r.table, n)
+    if first_mismatch(n, (phi.table, r23), (r23, phi.table)) is not None:
         raise AxiomFails("T2", None)
     triple = TwistTriple(fbar, phi, psi)
     report = verify_brace_twist(b, triple)

@@ -112,7 +112,7 @@ def _require(obj, cls, what: str):
 
 
 def cmd_gen(args) -> int:
-    obj = gen(args.name, args.params)
+    obj = gen(args.name, args.params, _env_budget())
     _write(canonical_dumps(_to_doc(obj)), args.out)
     return 0
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import re
 
 from .braces import BraidedGroup, braiding_from_brace, trivial_brace
-from .errors import BadParams, BraidFails, UnknownGenerator
+from .errors import BadParams, BraidFails, TooLarge, UnknownGenerator
 from .groups import cyclic, klein, symmetric, z4_radical_group
+from .matched import DEFAULT_THETA_BUDGET
 from .solutions import YbeSolution, check_solution
 from .tables import PairMap, Perm, perm_compose
 
@@ -66,31 +67,42 @@ def z4_brace() -> BraidedGroup:
     return braiding_from_brace(z4_radical_group(), cyclic(4))
 
 
-def gen(name: str, params: list[str]):
-    """Build a named structure; returns a solution or a brace."""
+def gen(name: str, params: list[str], budget: int = DEFAULT_THETA_BUDGET):
+    """Build a named structure; returns a solution or a brace.  A universe of
+    n elements with n^3 > budget is refused (TooLarge) before any table is built."""
     def want(k: int):
         if len(params) != k:
             raise BadParams(f"{name} takes {k} parameter(s), got {len(params)}")
+
+    def size(n: int, label: str | None = None) -> int:
+        if n ** 3 > budget:
+            raise TooLarge(f"{name} on {label or n} elements exceeds the budget of "
+                           f"{budget} triple-table entries")
+        return n
 
     if name == "s4-solution":
         want(0)
         return s4_solution()
     if name == "flip":
         want(1)
-        return flip_solution(_int_param(params[0]))
+        return flip_solution(size(_int_param(params[0])))
     if name == "lyubashenko":
         want(3)
-        n = _int_param(params[0])
+        n = size(_int_param(params[0]))
         return lyubashenko_solution(n, parse_cycles(params[1], n), parse_cycles(params[2], n))
     if name == "cyclic-trivial-brace":
         want(1)
-        return trivial_brace(cyclic(_int_param(params[0])))
+        return trivial_brace(cyclic(size(_int_param(params[0]))))
     if name == "klein-trivial-brace":
         want(0)
         return trivial_brace(klein())
     if name == "sym-trivial-brace":
         want(1)
-        return trivial_brace(symmetric(_int_param(params[0])))
+        k = _int_param(params[0])
+        order = 1
+        for i in range(1, k + 1):  # k! one factor at a time, so a huge k stops early
+            order = size(order * i, f"{k}!")
+        return trivial_brace(symmetric(k))
     if name == "z4-brace":
         want(0)
         return z4_brace()

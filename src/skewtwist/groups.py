@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import AxiomFails, SizeMismatch
-from .tables import Perm, perm_compose
+from .tables import Perm, first_mismatch, perm_compose
 
 MulTable = tuple[tuple[int, ...], ...]
 
@@ -43,11 +43,12 @@ class FiniteGroup:
                     break
             if inv[a] is None:
                 raise AxiomFails("inverses", a)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise AxiomFails("associativity", (a, b, c))
+        flat = tuple(itertools.chain.from_iterable(mul))
+        ab_c = tuple(itertools.chain.from_iterable(perm_compose(mul, flat)))  # row ab at c
+        a_bc = tuple(itertools.chain.from_iterable(perm_compose(row, flat) for row in mul))
+        witness = first_mismatch(n, (ab_c,), (a_bc,))
+        if witness is not None:
+            raise AxiomFails("associativity", witness)
         return cls(n, mul, e, tuple(inv))
 
     def op(self, a: int, b: int) -> int:

@@ -54,32 +54,22 @@ def _is_element(v: Any, n: int) -> bool:
     return type(v) is int and 0 <= v < n
 
 
-def _read_pair_table(n: int, rows: Any) -> PairMap:
-    if not isinstance(rows, list) or len(rows) != n * n:
-        raise DocumentError(f"pair table must have {n * n} rows")
+def _read_table(cls, n: int, rows: Any):
+    """A PairMap or TripleMap from its rows of cls.arity elements."""
+    kind, arity = cls.kind, cls.arity
+    if not isinstance(rows, list) or len(rows) != n ** arity:
+        raise DocumentError(f"{kind} table must have {n ** arity} rows")
     table = []
     for row in rows:
-        if not isinstance(row, list) or len(row) != 2:
-            raise DocumentError("pair table rows must be [a, b]")
-        a, b = row
-        if not all(_is_element(v, n) for v in (a, b)):
-            raise DocumentError("pair table entry out of range")
-        table.append(a * n + b)
-    return PairMap(n, tuple(table))
-
-
-def _read_triple_table(n: int, rows: Any) -> TripleMap:
-    if not isinstance(rows, list) or len(rows) != n ** 3:
-        raise DocumentError(f"triple table must have {n ** 3} rows")
-    table = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 3:
-            raise DocumentError("triple table rows must be [a, b, c]")
-        a, b, c = row
-        if not all(_is_element(v, n) for v in (a, b, c)):
-            raise DocumentError("triple table entry out of range")
-        table.append((a * n + b) * n + c)
-    return TripleMap(n, tuple(table))
+        if not isinstance(row, list) or len(row) != arity:
+            raise DocumentError(f"{kind} table rows must be [{', '.join('abc'[:arity])}]")
+        if not all(_is_element(v, n) for v in row):
+            raise DocumentError(f"{kind} table entry out of range")
+        code = 0
+        for v in row:
+            code = code * n + v
+        table.append(code)
+    return cls(n, tuple(table))
 
 
 def _read_rows(n: int, m: int, rows: Any, bound: int, what: str) -> tuple[tuple[int, ...], ...]:
@@ -180,7 +170,7 @@ def theta_to_doc(theta: ThetaMap, name: str | None = None, notes: str | None = N
 
 def doc_to_solution(doc: dict) -> YbeSolution:
     n = _read_n(doc)
-    return check_solution(n, _read_pair_table(n, doc.get("r")))
+    return check_solution(n, _read_table(PairMap, n, doc.get("r")))
 
 
 def doc_to_group(doc: dict) -> FiniteGroup:
@@ -192,15 +182,15 @@ def doc_to_group(doc: dict) -> FiniteGroup:
 def doc_to_brace(doc: dict) -> BraidedGroup:
     n = _read_n(doc)
     group = FiniteGroup.from_table(_read_rows(n, n, doc.get("mul"), n, "mul"))
-    return check_braided_group(group, _read_pair_table(n, doc.get("r")))
+    return check_braided_group(group, _read_table(PairMap, n, doc.get("r")))
 
 
 def doc_to_twist(doc: dict) -> TwistTriple:
     n = _read_n(doc)
     return TwistTriple(
-        _read_pair_table(n, doc.get("f")),
-        _read_triple_table(n, doc.get("phi")),
-        _read_triple_table(n, doc.get("psi")),
+        _read_table(PairMap, n, doc.get("f")),
+        _read_table(TripleMap, n, doc.get("phi")),
+        _read_table(TripleMap, n, doc.get("psi")),
     )
 
 

@@ -32,10 +32,14 @@ from .tables import (
     TripleMap,
     compose_pairmaps,
     compose_triplemaps,
-    first_triple_difference,
+    first_mismatch,
+    lift_12_table,
+    lift_23_table,
     lift_12,
     lift_23,
+    perm_chain,
     perm_compose,
+    perm_identity,
     perm_inverse,
     perm_is_bijective,
 )
@@ -86,48 +90,44 @@ def check_solution(n: int, r: PairMap) -> YbeSolution:
         raise SizeMismatch(f"universe sizes differ: {r.n} vs {n}")
     if not r.is_bijective:
         raise NotBijective("r is not a bijection of X^2")
-    r23 = lift_23(r)
-    r12 = lift_12(r)
-    lhs = compose_triplemaps(r23, compose_triplemaps(r12, r23))
-    rhs = compose_triplemaps(r12, compose_triplemaps(r23, r12))
-    if lhs != rhs:
-        raise BraidFails(first_triple_difference(lhs, rhs))
-    sigma = tuple(tuple(r(x, y)[0] for y in range(n)) for x in range(n))
-    gamma = tuple(tuple(r(x, y)[1] for x in range(n)) for y in range(n))
-    involutive = compose_pairmaps(r, r) == PairMap.identity(n)
+    return _braided_solution(r, lift_12_table(r.table, n), lift_23_table(r.table, n))
+
+
+def _braided_solution(r: PairMap, r12: Perm, r23: Perm) -> YbeSolution:
+    """check_solution for a bijective r whose lifts r12, r23 are given."""
+    n, t = r.n, r.table
+    witness = first_mismatch(n, (r23, r12, r23), (r12, r23, r12))
+    if witness is not None:
+        raise BraidFails(witness)
+    sigma = tuple(tuple(v // n for v in t[x * n:x * n + n]) for x in range(n))
+    gamma = tuple(tuple(v % n for v in t[y::n]) for y in range(n))
+    involutive = perm_compose(t, t) == perm_identity(n * n)
     nondegenerate = all(perm_is_bijective(s) for s in sigma) and all(
         perm_is_bijective(g) for g in gamma
     )
     return YbeSolution(n, r, sigma, gamma, involutive, nondegenerate)
 
 
-def _check_twist_axioms(s: YbeSolution, t: TwistTriple) -> TwistReport:
+def verify_twist(s: YbeSolution, t: TwistTriple) -> TwistReport:
+    """Check T1, T2, T3 in order; report the first violation with a witness."""
     if t.n != s.n:
         raise SizeMismatch(f"universe sizes differ: {t.n} vs {s.n}")
     for name, table in (("F-bijective", t.F), ("Phi-bijective", t.Phi), ("Psi-bijective", t.Psi)):
         if not table.is_bijective:
             return TwistReport(False, name, None)
-    f12, f23 = lift_12(t.F), lift_23(t.F)
-    lhs = compose_triplemaps(f12, t.Psi)
-    rhs = compose_triplemaps(f23, t.Phi)
-    if lhs != rhs:
-        return TwistReport(False, "T1", first_triple_difference(lhs, rhs))
-    r23 = lift_23(s.r)
-    lhs = compose_triplemaps(t.Phi, r23)
-    rhs = compose_triplemaps(r23, t.Phi)
-    if lhs != rhs:
-        return TwistReport(False, "T2", first_triple_difference(lhs, rhs))
-    r12 = lift_12(s.r)
-    lhs = compose_triplemaps(t.Psi, r12)
-    rhs = compose_triplemaps(r12, t.Psi)
-    if lhs != rhs:
-        return TwistReport(False, "T3", first_triple_difference(lhs, rhs))
+    n, F, Phi, Psi, r = s.n, t.F.table, t.Phi.table, t.Psi.table, s.r.table
+    witness = first_mismatch(n, (lift_12_table(F, n), Psi), (lift_23_table(F, n), Phi))
+    if witness is not None:
+        return TwistReport(False, "T1", witness)
+    r23 = lift_23_table(r, n)
+    witness = first_mismatch(n, (Phi, r23), (r23, Phi))
+    if witness is not None:
+        return TwistReport(False, "T2", witness)
+    r12 = lift_12_table(r, n)
+    witness = first_mismatch(n, (Psi, r12), (r12, Psi))
+    if witness is not None:
+        return TwistReport(False, "T3", witness)
     return TwistReport(True)
-
-
-def verify_twist(s: YbeSolution, t: TwistTriple) -> TwistReport:
-    """Check T1, T2, T3 in order; report the first violation with a witness."""
-    return _check_twist_axioms(s, t)
 
 
 def _conjugate(t: TwistTriple, r: PairMap) -> PairMap:
@@ -146,22 +146,19 @@ def apply_twist(s: YbeSolution, t: TwistTriple) -> YbeSolution:
 def _compose(outer: TwistTriple, inner: TwistTriple) -> TwistTriple:
     """The composite twist (G F, F23^-1 phi F23 Phi, F12^-1 psi F12 Psi) of
     outer = (G, phi, psi) after inner = (F, Phi, Psi), with no axiom check."""
-    f12, f23 = lift_12(inner.F), lift_23(inner.F)
-    finv = inner.F.inverse()
-    return TwistTriple(
-        compose_pairmaps(outer.F, inner.F),
-        compose_triplemaps(lift_23(finv), compose_triplemaps(outer.Phi, compose_triplemaps(f23, inner.Phi))),
-        compose_triplemaps(lift_12(finv), compose_triplemaps(outer.Psi, compose_triplemaps(f12, inner.Psi))),
-    )
+    n, F, finv = inner.n, inner.F.table, inner.F.inverse().table
+    phi = perm_chain(lift_23_table(finv, n), outer.Phi.table, lift_23_table(F, n), inner.Phi.table)
+    psi = perm_chain(lift_12_table(finv, n), outer.Psi.table, lift_12_table(F, n), inner.Psi.table)
+    return TwistTriple(PairMap(n, perm_compose(outer.F.table, F)), TripleMap(n, phi), TripleMap(n, psi))
 
 
 def _invert(t: TwistTriple) -> TwistTriple:
     """The inverse twist (F^-1, F23 Phi^-1 F23^-1, F12 Psi^-1 F12^-1), with no axiom check."""
-    finv = t.F.inverse()
+    n, F, finv = t.n, t.F.table, t.F.inverse()
     return TwistTriple(
         finv,
-        compose_triplemaps(lift_23(t.F), compose_triplemaps(t.Phi.inverse(), lift_23(finv))),
-        compose_triplemaps(lift_12(t.F), compose_triplemaps(t.Psi.inverse(), lift_12(finv))),
+        TripleMap(n, perm_chain(lift_23_table(F, n), t.Phi.inverse().table, lift_23_table(finv.table, n))),
+        TripleMap(n, perm_chain(lift_12_table(F, n), t.Psi.inverse().table, lift_12_table(finv.table, n))),
     )
 
 

@@ -3,28 +3,53 @@
 Elements of the universe are the integers 0..n-1.  A pair (x, y) is encoded
 as x*n + y and a triple (x, y, z) as x*n^2 + y*n + z, so every map is a
 tuple of encoded outputs and composition is plain indexing.
+
+Every axiom on X^3 is one comparison of two composed tables (first_mismatch);
+lifts to X^3 are slices of a shared pool of ints, so no int is made per entry.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count, permutations
 from math import lcm
-from typing import Callable, Iterator
+from operator import itemgetter, ne
+from typing import Callable, Iterator, Sequence
 
 from .errors import NotBijective, SizeMismatch
 
 Perm = tuple[int, ...]
 
+_POOL: Perm = ()
+
+
+def _ints(size: int) -> Perm:
+    """The ints 0..size-1 (at least) as shared objects; the pool only grows.
+    The local copy is returned, so a concurrent caller cannot shorten it."""
+    global _POOL
+    pool = _POOL
+    if len(pool) < size:
+        pool = _POOL = pool + tuple(range(len(pool), size))
+    return pool
+
 
 def perm_identity(n: int) -> Perm:
-    return tuple(range(n))
+    return _ints(n)[:n]
 
 
 def perm_compose(f: Perm, g: Perm) -> Perm:
-    """(f o g)(i) = f(g(i))."""
-    return tuple(f[i] for i in g)
+    """(f o g)(i) = f(g(i)); the entries are f's own int objects."""
+    # itemgetter with one index returns the item itself, not a 1-tuple.
+    return itemgetter(*g)(f) if len(g) > 1 else tuple(f[i] for i in g)
+
+
+def perm_chain(*tables: Perm) -> Perm:
+    """tables[0] o tables[1] o ... o tables[-1]."""
+    out = tables[-1]
+    for t in tables[-2::-1]:
+        out = perm_compose(t, out)
+    return out
 
 
 def perm_inverse(f: Perm) -> Perm:
@@ -58,22 +83,46 @@ def perm_order(f: Perm) -> int:
 
 
 @dataclass(frozen=True)
-class PairMap:
-    """A total map X^2 -> X^2 over the universe {0..n-1}."""
+class Table:
+    """A total map X^k -> X^k over {0..n-1}; PairMap has k = 2, TripleMap k = 3."""
 
     n: int
     table: Perm
+    kind = ""
+    arity = 0
 
     def __post_init__(self):
-        nn = self.n * self.n
-        if len(self.table) != nn:
-            raise SizeMismatch(f"pair table has {len(self.table)} entries, expected {nn}")
-        if self.table and (min(self.table) < 0 or max(self.table) >= nn):
-            raise SizeMismatch("pair table entry out of range")
+        size = self.n ** self.arity
+        if len(self.table) != size:
+            raise SizeMismatch(f"{self.kind} table has {len(self.table)} entries, expected {size}")
+        if self.table and (min(self.table) < 0 or max(self.table) >= size):
+            raise SizeMismatch(f"{self.kind} table entry out of range")
 
     @classmethod
-    def identity(cls, n: int) -> "PairMap":
-        return cls(n, perm_identity(n * n))
+    def identity(cls, n: int):
+        return cls(n, perm_identity(n ** cls.arity))
+
+    @cached_property
+    def is_bijective(self) -> bool:
+        return perm_is_bijective(self.table)
+
+    def inverse(self):
+        if not self.is_bijective:
+            raise NotBijective(f"{self.kind} table is not a permutation")
+        return type(self)(self.n, perm_inverse(self.table))
+
+    def order(self) -> int:
+        if not self.is_bijective:
+            raise NotBijective("order is only defined for bijective tables")
+        return perm_order(self.table)
+
+
+@dataclass(frozen=True)
+class PairMap(Table):
+    """A total map X^2 -> X^2 over the universe {0..n-1}."""
+
+    kind = "pair"
+    arity = 2
 
     @classmethod
     def flip(cls, n: int) -> "PairMap":
@@ -92,38 +141,13 @@ class PairMap:
         v = self.table[x * self.n + y]
         return divmod(v, self.n)
 
-    @cached_property
-    def is_bijective(self) -> bool:
-        return perm_is_bijective(self.table)
-
-    def inverse(self) -> "PairMap":
-        if not self.is_bijective:
-            raise NotBijective("pair table is not a permutation")
-        return PairMap(self.n, perm_inverse(self.table))
-
-    def order(self) -> int:
-        if not self.is_bijective:
-            raise NotBijective("order is only defined for bijective tables")
-        return perm_order(self.table)
-
 
 @dataclass(frozen=True)
-class TripleMap:
+class TripleMap(Table):
     """A total map X^3 -> X^3 over the universe {0..n-1}."""
 
-    n: int
-    table: Perm
-
-    def __post_init__(self):
-        nnn = self.n ** 3
-        if len(self.table) != nnn:
-            raise SizeMismatch(f"triple table has {len(self.table)} entries, expected {nnn}")
-        if self.table and (min(self.table) < 0 or max(self.table) >= nnn):
-            raise SizeMismatch("triple table entry out of range")
-
-    @classmethod
-    def identity(cls, n: int) -> "TripleMap":
-        return cls(n, perm_identity(n ** 3))
+    kind = "triple"
+    arity = 3
 
     @classmethod
     def from_callable(cls, n: int, fn: Callable[[int, int, int], tuple[int, int, int]]) -> "TripleMap":
@@ -141,20 +165,6 @@ class TripleMap:
         a, b = divmod(ab, self.n)
         return a, b, c
 
-    @cached_property
-    def is_bijective(self) -> bool:
-        return perm_is_bijective(self.table)
-
-    def inverse(self) -> "TripleMap":
-        if not self.is_bijective:
-            raise NotBijective("triple table is not a permutation")
-        return TripleMap(self.n, perm_inverse(self.table))
-
-    def order(self) -> int:
-        if not self.is_bijective:
-            raise NotBijective("order is only defined for bijective tables")
-        return perm_order(self.table)
-
 
 def compose_pairmaps(f: PairMap, g: PairMap) -> PairMap:
     """f o g as tables; bijective exactly when both inputs are."""
@@ -169,54 +179,33 @@ def compose_triplemaps(f: TripleMap, g: TripleMap) -> TripleMap:
     return TripleMap(f.n, perm_compose(f.table, g.table))
 
 
-def lift_12(f: PairMap) -> TripleMap:
-    """f applied to components 1,2 and the identity on component 3.
+def lift_12_table(table: Perm, n: int) -> Perm:
+    """(x, y, z) -> table[x*n + y]*n + z, for a table on X^2 whose values lie
+    below len(table) (pair maps, multiplication tables)."""
+    pool = _ints(len(table) * n)
+    return tuple(chain.from_iterable(pool[v * n:v * n + n] for v in table))
 
-    The triple (x, y, z) encodes as (x*n + y)*n + z, so its image is v*n + z
-    with v = f.table[x*n + y].
-    """
-    n = f.n
-    return TripleMap(n, tuple(v * n + z for v in f.table for z in range(n)))
+
+def lift_23_table(table: Perm, n: int, m: int | None = None) -> Perm:
+    """(x, y, z) -> x*m + table[y*n + z], for a table on X^2 with m values
+    (n^2 by default, as for pair maps)."""
+    m = n * n if m is None else m
+    pool = _ints(n * m)
+    return tuple(chain.from_iterable(perm_compose(pool[x * m:x * m + m], table) for x in range(n)))
+
+
+def lift_12(f: PairMap) -> TripleMap:
+    """f applied to components 1,2 and the identity on component 3."""
+    return TripleMap(f.n, lift_12_table(f.table, f.n))
 
 
 def lift_23(f: PairMap) -> TripleMap:
-    """The identity on component 1 and f on components 2,3: x*n^2 + f.table[y*n + z]."""
-    nn = f.n * f.n
-    return TripleMap(f.n, tuple(x * nn + v for x in range(f.n) for v in f.table))
-
-
-def lift_13(f: PairMap) -> TripleMap:
-    def fn(x, y, z):
-        a, c = f(x, z)
-        return a, y, c
-    return TripleMap.from_callable(f.n, fn)
-
-
-def lift_1(p: Perm) -> TripleMap:
-    return TripleMap.from_callable(len(p), lambda x, y, z: (p[x], y, z))
-
-
-def lift_2(p: Perm) -> TripleMap:
-    return TripleMap.from_callable(len(p), lambda x, y, z: (x, p[y], z))
-
-
-def lift_3(p: Perm) -> TripleMap:
-    return TripleMap.from_callable(len(p), lambda x, y, z: (x, y, p[z]))
-
-
-def invert_table(f):
-    """Inverse of a bijective PairMap or TripleMap."""
-    return f.inverse()
+    """The identity on component 1 and f on components 2,3."""
+    return TripleMap(f.n, lift_23_table(f.table, f.n))
 
 
 def decode_pair(n: int, v: int) -> tuple[int, int]:
     return divmod(v, n)
-
-
-def decode_triple(n: int, v: int) -> tuple[int, int, int]:
-    ab, c = divmod(v, n)
-    a, b = divmod(ab, n)
-    return a, b, c
 
 
 def first_pair_difference(f: PairMap, g: PairMap) -> tuple[int, int] | None:
@@ -226,14 +215,23 @@ def first_pair_difference(f: PairMap, g: PairMap) -> tuple[int, int] | None:
     return None
 
 
-def first_triple_difference(f: TripleMap, g: TripleMap) -> tuple[int, int, int] | None:
-    for i, (a, b) in enumerate(zip(f.table, g.table)):
+_BLOCK = 4096  # points per comparison step: amortises its cost, still stops early
+
+
+def first_mismatch(n: int, lhs: Sequence[Perm], rhs: Sequence[Perm]) -> tuple[int, int, int] | None:
+    """The least (x, y, z) at which lhs[0] o lhs[1] o ... and rhs[0] o rhs[1] o ...
+    (maps on X^3) differ, or None.  Both are composed and compared _BLOCK
+    points at a time; only a differing block is searched for the point."""
+    for start in range(0, n ** 3, _BLOCK):
+        a = perm_chain(*lhs[:-1], lhs[-1][start:start + _BLOCK])
+        b = perm_chain(*rhs[:-1], rhs[-1][start:start + _BLOCK])
         if a != b:
-            return decode_triple(f.n, i)
+            x, yz = divmod(start + next(compress(count(), map(ne, a, b))), n * n)
+            return (x, *divmod(yz, n))
     return None
 
 
 def all_pair_bijections(n: int) -> Iterator[PairMap]:
     """All bijections of X^2 in lexicographic table order ((n^2)! of them)."""
-    for p in itertools.permutations(range(n * n)):
+    for p in permutations(range(n * n)):
         yield PairMap(n, p)

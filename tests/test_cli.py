@@ -49,6 +49,37 @@ def test_gen_bad_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (["flip", "216"], "flip on 216"),
+        (["lyubashenko", "1000", "(0 1)", "id"], "lyubashenko on 1000"),
+        (["cyclic-trivial-brace", "100000"], "cyclic-trivial-brace on 100000"),
+        (["sym-trivial-brace", "7"], "sym-trivial-brace on 7!"),
+        (["sym-trivial-brace", "1000000"], "sym-trivial-brace on 1000000!"),
+    ],
+)
+def test_gen_refuses_oversized_universes(capsys, argv, label):
+    # n^3 > 10^7, the default budget: refused before any table is built.
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {label} elements exceeds the budget of 10000000 triple-table entries\n"
+
+
+def test_gen_size_guard_follows_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "27")
+    code, out, err = run(capsys, "gen", "flip", "3")
+    assert code == 0 and out.startswith('{"kind":"solution","n":3')
+    code, out, err = run(capsys, "gen", "sym-trivial-brace", "3")
+    assert (code, out, err) == (
+        3, "", "error: sym-trivial-brace on 3! elements exceeds the budget of 27 triple-table entries\n"
+    )
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "26")
+    code, out, err = run(capsys, "gen", "flip", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: flip on 3 elements exceeds the budget of 26")
+
+
 def test_verify_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -373,3 +404,27 @@ def test_json_boolean_size_exits_2(tmp_path, capsys, key):
     code, out, err = _verify_doc(tmp_path, capsys, doc, None)
     assert code == 2
     assert err == f"error: missing or invalid {key!r}\n"
+
+
+_PAIRS = [[x, y] for x in range(2) for y in range(2)]
+_TRIPLES = [[x, y, z] for x in range(2) for y in range(2) for z in range(2)]
+
+
+@pytest.mark.parametrize(
+    "key, rows, message",
+    [
+        ("f", _PAIRS[:3], "pair table must have 4 rows"),
+        ("f", _PAIRS[:3] + [[1]], "pair table rows must be [a, b]"),
+        ("f", _PAIRS[:3] + [[1, 2]], "pair table entry out of range"),
+        ("phi", _TRIPLES[:7], "triple table must have 8 rows"),
+        ("phi", _TRIPLES[:7] + [[1, 1]], "triple table rows must be [a, b, c]"),
+        ("psi", _TRIPLES[:7] + [[1, 1, -1]], "triple table entry out of range"),
+    ],
+)
+def test_table_row_errors_are_exact(tmp_path, capsys, key, rows, message):
+    # Pair and triple tables share one reader; each keeps its own wording.
+    doc = {"kind": "twist", "n": 2, "f": _PAIRS, "phi": _TRIPLES, "psi": _TRIPLES, key: rows}
+    path = tmp_path / "t.json"
+    path.write_text(canonical_dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,0 +1,464 @@
+"""The n^3 axiom checkers against their former pointwise loops.
+
+Every checker now composes whole tables and compares the composites
+(tables.first_mismatch).  The loops below are the earlier implementations,
+which decoded every entry through PairMap/TripleMap.__call__; they are kept
+here as references, and every verdict must match them exactly: exception
+type and text, axiom and witness, or the whole TwistReport.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from skewtwist.braces import (
+    BraidedGroup,
+    braiding_from_brace,
+    check_braided_group,
+    phi_reconstruct,
+    theta_canonical_twist,
+    trivial_brace,
+    verify_brace_twist,
+)
+from skewtwist.classification import enumerate_brace_twists
+from skewtwist.errors import AxiomFails, BraidFails, NotBijective, ShapeMismatch, SizeMismatch
+from skewtwist.generators import flip_solution, lyubashenko_solution, z4_brace
+from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
+from skewtwist.solutions import TwistReport, TwistTriple, YbeSolution, check_solution, verify_twist
+from skewtwist.tables import PairMap, TripleMap, perm_inverse, perm_is_bijective
+
+
+# ---------------------------------------------------------------- references
+
+def ref_from_table(mul):
+    """FiniteGroup.from_table with its triple loop for associativity."""
+    mul = tuple(tuple(row) for row in mul)
+    n = len(mul)
+    if any(len(row) != n for row in mul):
+        raise SizeMismatch("multiplication table is not square")
+    if any(not (0 <= v < n) for row in mul for v in row):
+        raise SizeMismatch("multiplication table entry out of range")
+    e = None
+    for cand in range(n):
+        if all(mul[cand][a] == a == mul[a][cand] for a in range(n)):
+            e = cand
+            break
+    if e is None:
+        raise AxiomFails("identity", None)
+    inv = [None] * n
+    for a in range(n):
+        for b in range(n):
+            if mul[a][b] == e and mul[b][a] == e:
+                inv[a] = b
+                break
+        if inv[a] is None:
+            raise AxiomFails("inverses", a)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            raise AxiomFails("associativity", (a, b, c))
+    return FiniteGroup(n, mul, e, tuple(inv))
+
+
+def ref_check_solution(n, r):
+    """check_solution with the braid relation evaluated point by point."""
+    if r.n != n:
+        raise SizeMismatch(f"universe sizes differ: {r.n} vs {n}")
+    if not r.is_bijective:
+        raise NotBijective("r is not a bijection of X^2")
+    r12 = lambda x, y, z: (*r(x, y), z)
+    r23 = lambda x, y, z: (x, *r(y, z))
+    for p in itertools.product(range(n), repeat=3):
+        if r23(*r12(*r23(*p))) != r12(*r23(*r12(*p))):
+            raise BraidFails(p)
+    sigma = tuple(tuple(r(x, y)[0] for y in range(n)) for x in range(n))
+    gamma = tuple(tuple(r(x, y)[1] for x in range(n)) for y in range(n))
+    involutive = all(r(*r(x, y)) == (x, y) for x in range(n) for y in range(n))
+    nondegenerate = all(map(perm_is_bijective, sigma)) and all(map(perm_is_bijective, gamma))
+    return YbeSolution(n, r, sigma, gamma, involutive, nondegenerate)
+
+
+def first_point(n, differs):
+    return next((p for p in itertools.product(range(n), repeat=3) if differs(*p)), None)
+
+
+def ref_verify_twist(s, t):
+    """_check_twist_axioms with T1-T3 evaluated point by point."""
+    if t.n != s.n:
+        raise SizeMismatch(f"universe sizes differ: {t.n} vs {s.n}")
+    for name, table in (("F-bijective", t.F), ("Phi-bijective", t.Phi), ("Psi-bijective", t.Psi)):
+        if not table.is_bijective:
+            return TwistReport(False, name, None)
+    F, Phi, Psi, r = t.F, t.Phi, t.Psi, s.r
+    lift12 = lambda f: lambda x, y, z: (*f(x, y), z)
+    lift23 = lambda f: lambda x, y, z: (x, *f(y, z))
+    r12, r23 = lift12(r), lift23(r)
+    for axiom, lhs, rhs in (
+        ("T1", lambda *p: lift12(F)(*Psi(*p)), lambda *p: lift23(F)(*Phi(*p))),
+        ("T2", lambda *p: Phi(*r23(*p)), lambda *p: r23(*Phi(*p))),
+        ("T3", lambda *p: Psi(*r12(*p)), lambda *p: r12(*Psi(*p))),
+    ):
+        witness = first_point(s.n, lambda *p: lhs(*p) != rhs(*p))
+        if witness is not None:
+            return TwistReport(False, axiom, witness)
+    return TwistReport(True)
+
+
+def ref_verify_brace_twist(b, t):
+    """verify_brace_twist with its G1-G4 and L1/L2 loops over __call__."""
+    base = ref_verify_twist(b.solution, t)
+    if not base:
+        return base
+    n, e, mul = b.n, b.group.e, b.group.mul
+    for x in range(n):
+        for y in range(n):
+            if t.Psi(x, y, e) != (x, y, e) or t.Phi(e, x, y) != (e, x, y):
+                return TwistReport(False, "G1", (x, y))
+    for x in range(n):
+        if t.F(e, x) != (e, x) or t.F(x, e) != (x, e):
+            return TwistReport(False, "G2", (x,))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        p, q, w = t.Phi(x, y, z)
+        if (p, mul[q][w]) != t.F(x, mul[y][z]):
+            return TwistReport(False, "G3", (x, y, z))
+        p, q, w = t.Psi(x, y, z)
+        if (mul[p][q], w) != t.F(mul[x][y], z):
+            return TwistReport(False, "G4", (x, y, z))
+    for x in range(n):
+        for y in range(n):
+            fx, fy = t.F(x, y)
+            if t.Phi(x, y, e) != (fx, fy, e) or t.Phi(x, e, y) != (fx, e, fy):
+                return TwistReport(False, "L1", (x, y))
+            if t.Psi(e, x, y) != (e, fx, fy) or t.Psi(x, e, y) != (fx, e, fy):
+                return TwistReport(False, "L2", (x, y))
+    return TwistReport(True)
+
+
+def ref_check_braided_group(group, r):
+    """check_braided_group with its brdOpr1/brdOpr2 loop over __call__."""
+    n = group.n
+    if r.n != n:
+        raise SizeMismatch(f"universe sizes differ: {r.n} vs {n}")
+    e, mul = group.e, group.mul
+    for g in range(n):
+        if r(e, g) != (g, e) or r(g, e) != (e, g):
+            raise AxiomFails("brd1", g)
+    if not r.is_bijective:
+        raise NotBijective("r is not a bijection of G^2")
+    sigma = [[r(x, y)[0] for y in range(n)] for x in range(n)]
+    gamma = [[r(x, y)[1] for x in range(n)] for y in range(n)]
+    for x, y, z in itertools.product(range(n), repeat=3):
+        a = sigma[x][sigma[y][z]]
+        b = mul[gamma[sigma[y][z]][x]][gamma[z][y]]
+        if r(mul[x][y], z) != (a, b):
+            raise AxiomFails("brdOpr1", (x, y, z))
+        a = mul[sigma[x][y]][sigma[gamma[y][x]][z]]
+        b = gamma[z][gamma[y][x]]
+        if r(x, mul[y][z]) != (a, b):
+            raise AxiomFails("brdOpr2", (x, y, z))
+    for x in range(n):
+        for y in range(n):
+            if mul[sigma[x][y]][gamma[y][x]] != mul[x][y]:
+                raise AxiomFails("brdcomm", (x, y))
+    try:
+        sol = ref_check_solution(n, r)
+    except BraidFails as exc:
+        raise AxiomFails("braid", exc.witness) from exc
+    if not sol.nondegenerate:
+        raise AxiomFails("non-degenerate", None)
+    sigma_inv = [perm_inverse(tuple(row)) for row in sigma]
+    star_table = [[mul[x][sigma_inv[x][y]] for y in range(n)] for x in range(n)]
+    try:
+        star = ref_from_table(star_table)
+    except AxiomFails as exc:
+        raise AxiomFails(f"star-{exc.axiom}", exc.witness) from exc
+    if star.e != e:
+        raise AxiomFails("star-identity", star.e)
+    return BraidedGroup(group, r, sol, star)
+
+
+def ref_phi_reconstruct(b, phi):
+    """phi_reconstruct with its Z1-Z3 loops over __call__."""
+    n, e, mul = b.n, b.group.e, b.group.mul
+    if phi.n != n:
+        raise SizeMismatch(f"universe sizes differ: {phi.n} vs {n}")
+    if not phi.is_bijective:
+        raise NotBijective("Phi is not a bijection of G^3")
+    for x, y in itertools.product(range(n), repeat=2):
+        if phi(x, y, e)[2] != e:
+            raise ShapeMismatch(f"Phi({x},{y},e) has third component {phi(x, y, e)[2]} != e")
+    fbar = PairMap.from_callable(n, lambda x, y: phi(x, y, e)[:2])
+    if not fbar.is_bijective:
+        raise NotBijective("Phi-bar is not a bijection of G^2")
+    for x in range(n):
+        for y in range(n):
+            if phi(e, x, y) != (e, x, y):
+                raise AxiomFails("Z1", (e, x, y))
+        if fbar(x, e) != (x, e):
+            raise AxiomFails("Z1", (x, e))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        p, q, w = phi(x, y, z)
+        if (p, mul[q][w]) != fbar(x, mul[y][z]):
+            raise AxiomFails("Z2", (x, y, z))
+    fbar_inv = fbar.inverse()
+
+    def psi_fn(x, y, z):  # Psi = F12^-1 F23 Phi, forced by T1
+        p, q, w = phi(x, y, z)
+        q2, w2 = fbar(q, w)
+        return (*fbar_inv(p, q2), w2)
+
+    psi = TripleMap.from_callable(n, psi_fn)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        p, q, w = psi(x, y, z)
+        if (mul[p][q], w) != fbar(mul[x][y], z):
+            raise AxiomFails("Z3", (x, y, z))
+    r12 = lambda x, y, z: (*b.r(x, y), z)
+    r23 = lambda x, y, z: (x, *b.r(y, z))
+    if first_point(n, lambda *p: r12(*psi(*p)) != psi(*r12(*p))) is not None:
+        raise AxiomFails("Z4", None)
+    if first_point(n, lambda *p: phi(*r23(*p)) != r23(*phi(*p))) is not None:
+        raise AxiomFails("T2", None)
+    triple = TwistTriple(fbar, phi, psi)
+    report = ref_verify_brace_twist(b, triple)
+    if not report:
+        raise AxiomFails(report.axiom, report.witness)
+    return triple
+
+
+# ------------------------------------------------------------------ helpers
+
+def outcome(fn, *args):
+    """The value, or the exception's type, text, axiom and witness."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return (type(exc), str(exc), getattr(exc, "axiom", None), getattr(exc, "witness", None))
+
+
+def swapped(rng, table):
+    """table with two entries of different value swapped."""
+    table = list(table)
+    while True:
+        i, j = rng.sample(range(len(table)), 2)
+        if table[i] != table[j]:
+            table[i], table[j] = table[j], table[i]
+            return tuple(table)
+
+
+def rows(flat, n):
+    return tuple(flat[k:k + n] for k in range(0, n * n, n))
+
+
+def relabel(group, p):
+    """The group transported along the bijection p."""
+    n = group.n
+    q = perm_inverse(p)
+    return FiniteGroup.from_table([[p[group.mul[q[a]][q[b]]] for b in range(n)] for a in range(n)])
+
+
+def opposite(group):
+    return FiniteGroup.from_table([[group.mul[b][a] for b in range(group.n)] for a in range(group.n)])
+
+
+BRACES = {
+    "Z8": lambda: trivial_brace(cyclic(8)),
+    "S3": lambda: trivial_brace(symmetric(3)),
+    "z4-brace": z4_brace,
+    "S4": lambda: trivial_brace(symmetric(4)),
+}
+
+
+def commuting_lyubashenko(rng, n):
+    sigma = tuple(rng.sample(range(n), n))
+    gamma = tuple(range(n))
+    for _ in range(rng.randrange(1, n + 1)):
+        gamma = tuple(sigma[v] for v in gamma)
+    return lyubashenko_solution(n, sigma, gamma)
+
+
+# -------------------------------------------------------------------- tests
+
+def test_check_solution_matches_reference():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for sol in (flip_solution(n), commuting_lyubashenko(rng, n)):
+            tables = [sol.r.table] + [swapped(rng, sol.r.table) for _ in range(6 if n > 1 else 0)]
+            for table in tables:
+                r = PairMap(n, table)
+                assert outcome(check_solution, n, r) == outcome(ref_check_solution, n, r)
+
+
+@pytest.mark.parametrize("name", list(BRACES))
+def test_braided_group_matches_reference(name):
+    rng = random.Random(name)
+    b = BRACES[name]()
+    n = b.n
+    assert ref_check_braided_group(b.group, b.r) == check_braided_group(b.group, b.r)
+    for _ in range(4):
+        r = PairMap(n, swapped(rng, b.r.table))
+        assert outcome(check_braided_group, b.group, r) == outcome(ref_check_braided_group, b.group, r)
+    for mul in (b.group.mul, b.star.mul):
+        flat = tuple(v for row in mul for v in row)
+        for _ in range(4):
+            bad = rows(swapped(rng, flat), n)
+            assert outcome(FiniteGroup.from_table, bad) == outcome(ref_from_table, bad)
+
+
+@pytest.mark.parametrize("group", [symmetric(3), symmetric(4)], ids=["S3-op", "S4-op"])
+def test_canonical_twist_matches_reference(group):
+    rng = random.Random(group.n)
+    b = braiding_from_brace(group, opposite(group))
+    t = theta_canonical_twist(b)
+    assert verify_brace_twist(b, t) == ref_verify_brace_twist(b, t) == TwistReport(True)
+    for field in ("F", "Phi", "Psi"):
+        table = getattr(t, field)
+        bad = dataclasses.replace(t, **{field: type(table)(b.n, swapped(rng, table.table))})
+        assert verify_brace_twist(b, bad) == ref_verify_brace_twist(b, bad)
+        assert verify_twist(b.solution, bad) == ref_verify_twist(b.solution, bad)
+
+
+def test_group_conditions_match_reference_on_a_foreign_multiplication():
+    # T1-T3, G1 and G2 see only the solution and the identity, so with the
+    # multiplication of another group with the same identity a valid twist
+    # reaches G3/G4 and fails there.
+    b = trivial_brace(symmetric(3))
+    for t in list(enumerate_brace_twists(b, b))[:6]:
+        for p in itertools.islice(itertools.permutations(range(1, 6)), 0, 120, 17):
+            other = dataclasses.replace(b, group=relabel(cyclic(6), (0, *p)))
+            assert verify_brace_twist(other, t) == ref_verify_brace_twist(other, t)
+
+
+def test_foreign_braidings_match_reference():
+    # Braidings of one brace checked on another group of the same order
+    # reach the later axioms: brdcomm, the braid relation and the star group.
+    groups = {4: [cyclic(4), klein(), relabel(cyclic(4), (0, 1, 3, 2))],
+              6: [symmetric(3), cyclic(6), relabel(symmetric(3), (0, 1, 2, 4, 3, 5))]}
+    braidings = {4: [PairMap.flip(4), trivial_brace(klein()).r, z4_brace().r],
+                 6: [PairMap.flip(6), trivial_brace(symmetric(3)).r,
+                     braiding_from_brace(symmetric(3), opposite(symmetric(3))).r,
+                     trivial_brace(cyclic(6)).r]}
+    seen = set()
+    for n in (4, 6):
+        for group, r in itertools.product(groups[n], braidings[n]):
+            got = outcome(check_braided_group, group, r)
+            assert got == outcome(ref_check_braided_group, group, r)
+            seen.add(got[0] if got[0] == "ok" else got[2])
+    assert {"ok", "brdcomm", "brdOpr1"} <= seen
+
+
+def test_twists_on_a_foreign_solution_match_reference():
+    # T1 reads only the twist, so a valid twist of one brace checked against
+    # another solution on the same set passes T1 and fails at T2 or T3.
+    # Precomposing Phi and Psi with r23 keeps T1 and T2 and breaks T3.
+    s3 = trivial_brace(symmetric(3))
+    s3op = braiding_from_brace(symmetric(3), opposite(symmetric(3)))
+    kl = trivial_brace(klein())
+    cases = [(s3op, theta_canonical_twist(s3)), (s3, theta_canonical_twist(s3op)),
+             (z4_brace(), theta_canonical_twist(kl))]
+    cases += [(b, t) for t in list(enumerate_brace_twists(kl, kl))[:8]
+              for b in (z4_brace(), trivial_brace(cyclic(4)))]
+    for b in (s3, s3op, z4_brace()):
+        t = theta_canonical_twist(b)
+        r23 = lambda m: TripleMap.from_callable(b.n, lambda x, y, z: m(x, *b.r(y, z)))
+        cases.append((b, TwistTriple(t.F, r23(t.Phi), r23(t.Psi))))
+    seen = set()
+    for b, t in cases:
+        report = verify_twist(b.solution, t)
+        assert report == ref_verify_twist(b.solution, t)
+        assert verify_brace_twist(b, t) == ref_verify_brace_twist(b, t)
+        seen.add(report.axiom)
+    assert {"T2", "T3"} <= seen
+
+
+def test_phi_reconstruct_matches_reference():
+    # Valid Phi maps, the same maps against a foreign multiplication (Z2/Z3
+    # failures) and swapped-entry corruptions.
+    rng = random.Random(7)
+    kl = trivial_brace(klein())
+    cases = [(b, theta_canonical_twist(b).Phi) for b in (z4_brace(), trivial_brace(symmetric(3)))]
+    cases += [(dataclasses.replace(kl, group=cyclic(4)), t.Phi) for t in list(enumerate_brace_twists(kl, kl))[:6]]
+    cases += [(b, TripleMap(b.n, swapped(rng, phi.table))) for b, phi in cases[:2] for _ in range(6)]
+    seen = set()
+    for b, phi in cases:
+        got = outcome(phi_reconstruct, b, phi)
+        assert got == outcome(ref_phi_reconstruct, b, phi)
+        seen.add(got[0] if got[0] == "ok" else got[2] or got[0].__name__)
+    assert {"ok", "Z1", "Z2"} <= seen, seen
+
+
+def test_g3_wins_a_tie_with_g4():
+    b = trivial_brace(klein())
+    twists = list(enumerate_brace_twists(b, b))
+    other = dataclasses.replace(b, group=cyclic(4))
+    # Both G3 and G4 first fail at (1, 1, 1) for twist 1; G4 fails first for twist 4.
+    assert verify_brace_twist(other, twists[1]) == TwistReport(False, "G3", (1, 1, 1))
+    assert verify_brace_twist(other, twists[4]) == TwistReport(False, "G4", (1, 1, 3))
+    for t in (twists[1], twists[4]):
+        assert verify_brace_twist(other, t) == ref_verify_brace_twist(other, t)
+    mul = other.group.mul
+    g3 = first_point(4, lambda x, y, z: (lambda p, q, w: (p, mul[q][w]))(*twists[1].Phi(x, y, z))
+                     != twists[1].F(x, mul[y][z]))
+    g4 = first_point(4, lambda x, y, z: (lambda p, q, w: (mul[p][q], w))(*twists[1].Psi(x, y, z))
+                     != twists[1].F(mul[x][y], z))
+    assert g3 == g4 == (1, 1, 1)
+
+
+def test_brdopr1_wins_a_tie_with_brdopr2():
+    # The z4-brace braiding on Z4 with 2 and 3 relabelled fails both
+    # brdOpr1 and brdOpr2 first at (1, 1, 1).
+    r = z4_brace().r
+    group = relabel(cyclic(4), (0, 1, 3, 2))
+    with pytest.raises(AxiomFails) as exc:
+        check_braided_group(group, r)
+    assert (exc.value.axiom, exc.value.witness) == ("brdOpr1", (1, 1, 1))
+    assert outcome(check_braided_group, group, r) == outcome(ref_check_braided_group, group, r)
+    # Conjugation on S3 against relabelled S3: brdOpr2 alone, then brdOpr1 first.
+    s3 = trivial_brace(symmetric(3)).r
+    for p, want in (((0, 1, 2, 4, 3, 5), ("brdOpr2", (1, 1, 2))),
+                    ((0, 1, 2, 5, 4, 3), ("brdOpr1", (1, 1, 2)))):
+        g = relabel(symmetric(3), p)
+        got = outcome(check_braided_group, g, s3)
+        assert got[2:] == want
+        assert got == outcome(ref_check_braided_group, g, s3)
+
+
+SMALL = {
+    "Z4": lambda: trivial_brace(cyclic(4)),
+    "Klein": lambda: trivial_brace(klein()),
+    "S3": lambda: trivial_brace(symmetric(3)),
+    "z4-brace": z4_brace,
+}
+SMALL_BRACES = {name: make() for name, make in SMALL.items()}
+SMALL_TWISTS = {name: theta_canonical_twist(b) for name, b in SMALL_BRACES.items()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    name=hs.sampled_from(sorted(SMALL)),
+    target=hs.sampled_from(["r", "mul", "F", "Phi", "Psi"]),
+    data=hs.data(),
+)
+def test_random_swaps_match_reference(name, target, data):
+    b, t = SMALL_BRACES[name], SMALL_TWISTS[name]
+    n = b.n
+    if target in ("r", "mul"):
+        flat = b.r.table if target == "r" else tuple(v for row in b.group.mul for v in row)
+    else:
+        flat = getattr(t, target).table
+    i = data.draw(hs.integers(0, len(flat) - 1))
+    j = data.draw(hs.integers(0, len(flat) - 1))
+    table = list(flat)
+    table[i], table[j] = table[j], table[i]
+    table = tuple(table)
+    if target == "r":
+        r = PairMap(n, table)
+        assert outcome(check_solution, n, r) == outcome(ref_check_solution, n, r)
+        assert outcome(check_braided_group, b.group, r) == outcome(ref_check_braided_group, b.group, r)
+    elif target == "mul":
+        assert outcome(FiniteGroup.from_table, rows(table, n)) == outcome(ref_from_table, rows(table, n))
+    else:
+        bad = dataclasses.replace(t, **{target: type(getattr(t, target))(n, table)})
+        assert verify_brace_twist(b, bad) == ref_verify_brace_twist(b, bad)

@@ -1,4 +1,5 @@
-"""Encoded pair/triple map tables: composition, inversion, lifts."""
+"""Encoded pair/triple map tables: composition, inversion, lifts, and the
+compose-and-compare kernel (pooled lifts, perm_chain, first_mismatch)."""
 
 import itertools
 import random
@@ -13,20 +14,37 @@ from skewtwist.tables import (
     compose_pairmaps,
     compose_triplemaps,
     decode_pair,
-    decode_triple,
+    first_mismatch,
     first_pair_difference,
-    invert_table,
-    lift_1,
-    lift_2,
-    lift_3,
+    lift_12_table,
+    lift_23_table,
     lift_12,
-    lift_13,
     lift_23,
+    perm_chain,
     perm_compose,
     perm_identity,
     perm_inverse,
     perm_order,
 )
+
+
+def triple_map(n, fn):
+    """A TripleMap from its per-point definition, independent of the kernel."""
+    return TripleMap.from_callable(n, fn)
+
+
+def pointwise_first_mismatch(n, lhs, rhs):
+    """First (x, y, z) where the composites differ, entry by entry."""
+    def apply(chain, i):
+        for t in reversed(chain):
+            i = t[i]
+        return i
+
+    for x, y, z in itertools.product(range(n), repeat=3):
+        i = (x * n + y) * n + z
+        if apply(lhs, i) != apply(rhs, i):
+            return (x, y, z)
+    return None
 
 
 def test_perm_basics():
@@ -58,8 +76,8 @@ def test_pairmap_from_callable_roundtrip():
     g = f.inverse()
     assert compose_pairmaps(f, g) == PairMap.identity(4)
     assert compose_pairmaps(g, f) == PairMap.identity(4)
-    assert invert_table(f) == g
-    assert invert_table(lift_12(f)) == lift_12(g)
+    assert lift_12(f).inverse() == lift_12(g)
+    assert lift_23(f).inverse() == lift_23(g)
 
 
 def test_noninvertible_pairmap_detected():
@@ -81,19 +99,40 @@ def test_lifts_are_homomorphisms():
     n = 3
     a = PairMap.from_callable(n, lambda x, y: ((x + y) % n, y))
     b = PairMap.from_callable(n, lambda x, y: (x, (x + 2 * y) % n))
-    for lift in (lift_12, lift_23, lift_13):
+    for lift in (lift_12, lift_23):
         assert lift(compose_pairmaps(a, b)) == compose_triplemaps(lift(a), lift(b))
         assert lift(PairMap.identity(n)) == TripleMap.identity(n)
-    # lift_12 and lift_23 are index arithmetic on the table; they must agree
-    # with their per-entry definitions on arbitrary (also non-bijective) maps.
+    # lift_12 and lift_23 are slices and gathers of the int pool; they must
+    # agree with their per-entry definitions on arbitrary (also non-bijective)
+    # maps, and so must the multiplication lifts m12 and m23 built the same way.
     rng = random.Random(12)
     for n in range(1, 6):
         for _ in range(4):
             f = PairMap(n, tuple(rng.randrange(n * n) for _ in range(n * n)))
             g = PairMap(n, tuple(rng.sample(range(n * n), n * n)))
             for h in (f, g):
-                assert lift_12(h) == TripleMap.from_callable(n, lambda x, y, z: (*h(x, y), z))
-                assert lift_23(h) == TripleMap.from_callable(n, lambda x, y, z: (x, *h(y, z)))
+                assert lift_12(h) == triple_map(n, lambda x, y, z: (*h(x, y), z))
+                assert lift_23(h) == triple_map(n, lambda x, y, z: (x, *h(y, z)))
+            mul = tuple(rng.randrange(n) for _ in range(n * n))
+            m12 = tuple(mul[x * n + y] * n + z for x, y, z in itertools.product(range(n), repeat=3))
+            m23 = tuple(x * n + mul[y * n + z] for x, y, z in itertools.product(range(n), repeat=3))
+            assert lift_12_table(mul, n) == m12
+            assert lift_23_table(mul, n, n) == m23
+
+
+def test_pooled_lifts_share_int_objects():
+    # Equal entries of independently built lifts are one object: the lifts
+    # are slices and gathers of a shared pool, not fresh ints (n^3 > 256, so
+    # the interpreter's small-int cache does not explain it).
+    n = 7
+    rng = random.Random(3)
+    f = PairMap(n, tuple(rng.sample(range(n * n), n * n)))
+    g = PairMap(n, tuple(rng.sample(range(n * n), n * n)))
+    seen = {}
+    for table in (lift_12(f).table, lift_23(f).table, lift_12(g).table, lift_23(g).table):
+        for v in table:
+            assert seen.setdefault(v, v) is v
+    assert perm_identity(n ** 3)[300] is seen[300]
 
 
 def test_lift_positions():
@@ -102,13 +141,6 @@ def test_lift_positions():
     for x, y, z in itertools.product(range(n), repeat=3):
         assert lift_12(f)(x, y, z) == (*f(x, y), z)
         assert lift_23(f)(x, y, z) == (x, *f(y, z))
-        a, c = f(x, z)
-        assert lift_13(f)(x, y, z) == (a, y, c)
-    p = (1, 2, 0)
-    for x, y, z in itertools.product(range(n), repeat=3):
-        assert lift_1(p)(x, y, z) == (p[x], y, z)
-        assert lift_2(p)(x, y, z) == (x, p[y], z)
-        assert lift_3(p)(x, y, z) == (x, y, p[z])
 
 
 def test_decode_helpers():
@@ -116,8 +148,44 @@ def test_decode_helpers():
     for x in range(n):
         for y in range(n):
             assert decode_pair(n, x * n + y) == (x, y)
-            for z in range(n):
-                assert decode_triple(n, (x * n + y) * n + z) == (x, y, z)
+    # Triples are decoded inside first_mismatch: a table that differs from
+    # the identity at one point only is reported at exactly that point.
+    ident = perm_identity(n ** 3)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        i = (x * n + y) * n + z
+        moved = list(ident)
+        moved[i] = (i + 1) % n ** 3
+        assert first_mismatch(n, (tuple(moved),), (ident,)) == (x, y, z)
+
+
+def test_perm_compose_and_chain():
+    rng = random.Random(5)
+    for size in (0, 1, 2, 9):
+        f = tuple(rng.randrange(size) for _ in range(size)) if size else ()
+        g = tuple(rng.randrange(size) for _ in range(size)) if size else ()
+        h = tuple(rng.randrange(size) for _ in range(size)) if size else ()
+        assert perm_compose(f, g) == tuple(f[i] for i in g)
+        assert perm_chain(f, g, h) == tuple(f[g[i]] for i in h)
+        assert perm_chain(h) == h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
+def test_first_mismatch_matches_pointwise_scan(n):
+    # n = 17 spans two comparison blocks; the others fit in one.
+    rng = random.Random(n)
+    size = n ** 3
+    tables = [tuple(rng.sample(range(size), size)) for _ in range(3)]
+    a, b, c = tables
+    assert first_mismatch(n, (a, b, c), (a, b, c)) is None
+    for lhs, rhs in (((a, b), (b, a)), ((a, b, c), (c, b, a)), ((a,), (b,)), ((a, b), (a, c))):
+        assert first_mismatch(n, lhs, rhs) == pointwise_first_mismatch(n, lhs, rhs)
+    # A single differing entry, at the start, in the middle, at the end.
+    for i in sorted({0, size // 2, size - 1}) if size > 1 else ():
+        moved = list(c)
+        moved[i] = (c[i] + 1) % size
+        want = pointwise_first_mismatch(n, (a, b, c), (a, b, tuple(moved)))
+        assert want is not None
+        assert first_mismatch(n, (a, b, c), (a, b, tuple(moved))) == want
 
 
 def test_first_pair_difference_is_lex_minimal():
@@ -139,7 +207,7 @@ def test_all_pair_bijections_count():
 
 def test_triplemap_order():
     p = (1, 0)
-    assert lift_1(p).order() == 2
+    assert triple_map(2, lambda x, y, z: (p[x], y, z)).order() == 2
     n = 2
     rot = TripleMap.from_callable(n, lambda x, y, z: (y, z, x))
     assert rot.order() == 3
