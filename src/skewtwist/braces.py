@@ -35,12 +35,10 @@ from .tables import (
     PairMap,
     Perm,
     TripleMap,
-    compose_triplemaps,
     first_mismatch,
     lift_12_table,
     lift_23_table,
-    lift_12,
-    lift_23,
+    perm_chain,
     perm_compose,
     perm_inverse,
     perm_is_bijective,
@@ -277,19 +275,18 @@ def phi_reconstruct(b: BraidedGroup, phi: TripleMap) -> TwistTriple:
     witness = first_mismatch(n, (m23, phi.table), (fbar.table, m23))
     if witness is not None:
         raise AxiomFails("Z2", witness)
-    psi = compose_triplemaps(
-        lift_12(fbar).inverse(), compose_triplemaps(lift_23(fbar), phi)
-    )
-    witness = first_mismatch(n, (m12, psi.table), (fbar.table, m12))
+    f12_inv = perm_inverse(lift_12_table(fbar.table, n))
+    psi = perm_chain(f12_inv, lift_23_table(fbar.table, n), phi.table)
+    witness = first_mismatch(n, (m12, psi), (fbar.table, m12))
     if witness is not None:
         raise AxiomFails("Z3", witness)
     r12 = lift_12_table(b.r.table, n)
-    if first_mismatch(n, (r12, psi.table), (psi.table, r12)) is not None:
+    if first_mismatch(n, (r12, psi), (psi, r12)) is not None:
         raise AxiomFails("Z4", None)
     r23 = lift_23_table(b.r.table, n)
     if first_mismatch(n, (phi.table, r23), (r23, phi.table)) is not None:
         raise AxiomFails("T2", None)
-    triple = TwistTriple(fbar, phi, psi)
+    triple = TwistTriple(fbar, phi, TripleMap(n, psi))
     report = verify_brace_twist(b, triple)
     if not report:
         raise AxiomFails(report.axiom, report.witness)

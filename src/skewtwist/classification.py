@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 from .braces import (
@@ -25,7 +25,7 @@ from .braces import (
 from .errors import InvalidFamily, InvalidTwist, NotClassifiable, SizeMismatch
 from .groups import FiniteGroup, are_isomorphic, enumerate_isomorphisms
 from .solutions import TwistTriple, _compose
-from .tables import PairMap, Perm, TripleMap, first_pair_difference, perm_inverse, perm_is_bijective
+from .tables import PairMap, Perm, TripleMap, first_difference, perm_inverse, perm_is_bijective
 
 
 @dataclass(frozen=True)
@@ -184,14 +184,11 @@ def _family_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[tuple[IsoFami
         if not report:
             raise InvalidTwist(f"composite: {report.axiom} fails at {report.witness}")
         mul, r = _twisted_tables(b1, twist)
-        if r != b2.r:
-            raise InvalidTwist(
-                f"composite: braiding differs from the target at {first_pair_difference(r, b2.r)}"
-            )
-        if mul != b2.group.mul:
-            where = next(
-                (x, y) for x in range(b1.n) for y in range(b1.n) if mul[x][y] != b2.group.mul[x][y]
-            )
+        where = first_difference(b1.n, 2, r.table, b2.r.table)
+        if where is not None:
+            raise InvalidTwist(f"composite: braiding differs from the target at {where}")
+        where = first_difference(b1.n, 2, chain(*mul), chain(*b2.group.mul))
+        if where is not None:
             raise InvalidTwist(f"composite: multiplication differs from the target at {where}")
         yield fam, twist
 

@@ -72,11 +72,14 @@ FORMAT_ERRORS = (
 
 
 def _read_doc(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise errors.DocumentError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_document(text)
 
 
@@ -235,6 +238,7 @@ def cmd_classify(args) -> int:
     related = are_twist_related(b1, b2)
     twists = []
     if related:
+        _check_count("twist", count_twists(b1, b2), _env_budget())
         theta1 = theta_canonical_twist(b1)
         theta2 = theta_canonical_twist(b2)
         for fam, twist in _family_twists(b1, b2):
@@ -363,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apply", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_theta_apply)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--format", choices=["json"], default="json")
 
     return parser
 

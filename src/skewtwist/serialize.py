@@ -17,7 +17,7 @@ from .errors import DocumentError
 from .groups import FiniteGroup
 from .matched import MatchedPair, ThetaMap, check_matched_pair
 from .solutions import TwistTriple, YbeSolution, check_solution
-from .tables import PairMap, TripleMap
+from .tables import PairMap, Table, TripleMap, _codec
 
 
 def canonical_dumps(doc: dict) -> str:
@@ -35,17 +35,9 @@ def _with_meta(doc: dict, name: str | None, notes: str | None) -> dict:
     return doc
 
 
-def _pair_table(pm: PairMap) -> list[list[int]]:
-    return [list(divmod(v, pm.n)) for v in pm.table]
-
-
-def _triple_table(tm: TripleMap) -> list[list[int]]:
-    out = []
-    for v in tm.table:
-        ab, c = divmod(v, tm.n)
-        a, b = divmod(ab, tm.n)
-        out.append([a, b, c])
-    return out
+def _rows(t: Table) -> list[list[int]]:
+    """The rows of a pair or triple table: the decoded image of each point."""
+    return list(map(list, map(_codec(t.n, t.arity)[0].__getitem__, t.table)))
 
 
 def _is_element(v: Any, n: int) -> bool:
@@ -59,17 +51,13 @@ def _read_table(cls, n: int, rows: Any):
     kind, arity = cls.kind, cls.arity
     if not isinstance(rows, list) or len(rows) != n ** arity:
         raise DocumentError(f"{kind} table must have {n ** arity} rows")
-    table = []
     for row in rows:
         if not isinstance(row, list) or len(row) != arity:
             raise DocumentError(f"{kind} table rows must be [{', '.join('abc'[:arity])}]")
         if not all(_is_element(v, n) for v in row):
             raise DocumentError(f"{kind} table entry out of range")
-        code = 0
-        for v in row:
-            code = code * n + v
-        table.append(code)
-    return cls(n, tuple(table))
+    codes = _codec(n, arity)[1]
+    return cls(n, tuple(codes[tuple(row)] for row in rows))
 
 
 def _read_rows(n: int, m: int, rows: Any, bound: int, what: str) -> tuple[tuple[int, ...], ...]:
@@ -93,7 +81,7 @@ def _read_n(doc: dict, key: str = "n") -> int:
 
 
 def solution_to_doc(sol: YbeSolution, name: str | None = None, notes: str | None = None) -> dict:
-    return _with_meta({"kind": "solution", "n": sol.n, "r": _pair_table(sol.r)}, name, notes)
+    return _with_meta({"kind": "solution", "n": sol.n, "r": _rows(sol.r)}, name, notes)
 
 
 def group_to_doc(g: FiniteGroup, name: str | None = None, notes: str | None = None) -> dict:
@@ -106,7 +94,7 @@ def brace_to_doc(b: BraidedGroup, name: str | None = None, notes: str | None = N
             "kind": "brace",
             "n": b.n,
             "mul": [list(row) for row in b.group.mul],
-            "r": _pair_table(b.r),
+            "r": _rows(b.r),
         },
         name,
         notes,
@@ -118,9 +106,9 @@ def twist_to_doc(t: TwistTriple, name: str | None = None, notes: str | None = No
         {
             "kind": "twist",
             "n": t.n,
-            "f": _pair_table(t.F),
-            "phi": _triple_table(t.Phi),
-            "psi": _triple_table(t.Psi),
+            "f": _rows(t.F),
+            "phi": _rows(t.Phi),
+            "psi": _rows(t.Psi),
         },
         name,
         notes,
@@ -257,7 +245,7 @@ def load_document(doc: dict):
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")

@@ -30,13 +30,10 @@ from .tables import (
     PairMap,
     Perm,
     TripleMap,
-    compose_pairmaps,
-    compose_triplemaps,
+    all_pair_bijections,
     first_mismatch,
     lift_12_table,
     lift_23_table,
-    lift_12,
-    lift_23,
     perm_chain,
     perm_compose,
     perm_identity,
@@ -68,10 +65,6 @@ class TwistTriple:
     @property
     def n(self) -> int:
         return self.F.n
-
-    def pair_form(self) -> tuple[PairMap, TripleMap]:
-        """The (F, G) presentation with G = F12 . Psi = F23 . Phi."""
-        return self.F, compose_triplemaps(lift_12(self.F), self.Psi)
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,7 @@ def verify_twist(s: YbeSolution, t: TwistTriple) -> TwistReport:
 
 def _conjugate(t: TwistTriple, r: PairMap) -> PairMap:
     """F r F^-1, the solution a twist produces; F must be bijective."""
-    return compose_pairmaps(t.F, compose_pairmaps(r, t.F.inverse()))
+    return PairMap(r.n, perm_chain(t.F.table, r.table, t.F.inverse().table))
 
 
 def apply_twist(s: YbeSolution, t: TwistTriple) -> YbeSolution:
@@ -258,24 +251,16 @@ def brute_force_twists(s: YbeSolution) -> Iterator[TwistTriple]:
     """
     if s.n != 2:
         raise TooLarge("brute-force twist enumeration is capped at n = 2")
-    import numpy as np  # the only numpy user; importing it costs ~14 MB RSS
-
-    n = s.n
-    phis = np.array(list(itertools.permutations(range(8))), dtype=np.int64)
-    r12 = np.array(lift_12(s.r).table)
-    r23 = np.array(lift_23(s.r).table)
-    for fperm in itertools.permutations(range(4)):
-        F = PairMap(n, fperm)
-        f12 = np.array(lift_12(F).table)
-        f23 = np.array(lift_23(F).table)
-        f12_inv = np.argsort(f12)
-        # composition as indexing: (f o g)[i] = f[g[i]]
-        psis = f12_inv[f23[phis]]
-        t2_ok = (phis[:, r23] == r23[phis]).all(axis=1)
-        t3_ok = (psis[:, r12] == r12[psis]).all(axis=1)
-        for row in np.nonzero(t2_ok & t3_ok)[0]:
-            yield TwistTriple(
-                F,
-                TripleMap(n, tuple(int(v) for v in phis[row])),
-                TripleMap(n, tuple(int(v) for v in psis[row])),
-            )
+    n, r = s.n, s.r.table
+    r12, r23 = lift_12_table(r, n), lift_23_table(r, n)
+    # T2 does not involve F, so the Phi commuting with r23 are found once.
+    phis = [
+        phi for phi in itertools.permutations(range(n ** 3))
+        if perm_compose(phi, r23) == perm_compose(r23, phi)
+    ]
+    for F in all_pair_bijections(n):
+        f12_inv, f23 = perm_inverse(lift_12_table(F.table, n)), lift_23_table(F.table, n)
+        for phi in phis:
+            psi = perm_chain(f12_inv, f23, phi)
+            if perm_compose(psi, r12) == perm_compose(r12, psi):
+                yield TwistTriple(F, TripleMap(n, phi), TripleMap(n, psi))

@@ -2,7 +2,9 @@
 
 Elements of the universe are the integers 0..n-1.  A pair (x, y) is encoded
 as x*n + y and a triple (x, y, z) as x*n^2 + y*n + z, so every map is a
-tuple of encoded outputs and composition is plain indexing.
+tuple of encoded outputs and composition is plain indexing.  Building a table
+from a function on points, evaluating it at a point and reading or writing
+its rows all go through one codec per (n, k), _codec.
 
 Every axiom on X^3 is one comparison of two composed tables (first_mismatch);
 lifts to X^3 are slices of a shared pool of ints, so no int is made per entry.
@@ -11,11 +13,11 @@ lifts to X^3 are slices of a shared pool of ints, so no int is made per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, count, permutations
+from functools import cached_property, lru_cache
+from itertools import chain, compress, count, permutations, product, starmap
 from math import lcm
 from operator import itemgetter, ne
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NotBijective, SizeMismatch
 
@@ -32,6 +34,15 @@ def _ints(size: int) -> Perm:
     if len(pool) < size:
         pool = _POOL = pool + tuple(range(len(pool), size))
     return pool
+
+
+@lru_cache(maxsize=16)
+def _codec(n: int, arity: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+    """(points, codes): the points of X^arity in lexicographic order, which is
+    code order, so points[v] decodes v; and codes[point], the code of a point.
+    Shared between callers, so read only; the cache bounds what stays alive."""
+    points = tuple(product(range(n), repeat=arity))
+    return points, dict(zip(points, _ints(len(points))))
 
 
 def perm_identity(n: int) -> Perm:
@@ -102,6 +113,17 @@ class Table:
     def identity(cls, n: int):
         return cls(n, perm_identity(n ** cls.arity))
 
+    @classmethod
+    def from_callable(cls, n: int, fn: Callable[..., tuple[int, ...]]):
+        """The table of fn, which takes the arity coordinates of a point and
+        returns its image as a tuple."""
+        points, codes = _codec(n, cls.arity)
+        return cls(n, tuple(map(codes.__getitem__, starmap(fn, points))))
+
+    def __call__(self, *point: int) -> tuple[int, ...]:
+        points, codes = _codec(self.n, self.arity)
+        return points[self.table[codes[point]]]
+
     @cached_property
     def is_bijective(self) -> bool:
         return perm_is_bijective(self.table)
@@ -128,19 +150,6 @@ class PairMap(Table):
     def flip(cls, n: int) -> "PairMap":
         return cls(n, tuple(y * n + x for x in range(n) for y in range(n)))
 
-    @classmethod
-    def from_callable(cls, n: int, fn: Callable[[int, int], tuple[int, int]]) -> "PairMap":
-        table = []
-        for x in range(n):
-            for y in range(n):
-                a, b = fn(x, y)
-                table.append(a * n + b)
-        return cls(n, tuple(table))
-
-    def __call__(self, x: int, y: int) -> tuple[int, int]:
-        v = self.table[x * self.n + y]
-        return divmod(v, self.n)
-
 
 @dataclass(frozen=True)
 class TripleMap(Table):
@@ -148,35 +157,6 @@ class TripleMap(Table):
 
     kind = "triple"
     arity = 3
-
-    @classmethod
-    def from_callable(cls, n: int, fn: Callable[[int, int, int], tuple[int, int, int]]) -> "TripleMap":
-        table = []
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    a, b, c = fn(x, y, z)
-                    table.append((a * n + b) * n + c)
-        return cls(n, tuple(table))
-
-    def __call__(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        v = self.table[(x * self.n + y) * self.n + z]
-        ab, c = divmod(v, self.n)
-        a, b = divmod(ab, self.n)
-        return a, b, c
-
-
-def compose_pairmaps(f: PairMap, g: PairMap) -> PairMap:
-    """f o g as tables; bijective exactly when both inputs are."""
-    if f.n != g.n:
-        raise SizeMismatch(f"universe sizes differ: {f.n} vs {g.n}")
-    return PairMap(f.n, perm_compose(f.table, g.table))
-
-
-def compose_triplemaps(f: TripleMap, g: TripleMap) -> TripleMap:
-    if f.n != g.n:
-        raise SizeMismatch(f"universe sizes differ: {f.n} vs {g.n}")
-    return TripleMap(f.n, perm_compose(f.table, g.table))
 
 
 def lift_12_table(table: Perm, n: int) -> Perm:
@@ -194,25 +174,10 @@ def lift_23_table(table: Perm, n: int, m: int | None = None) -> Perm:
     return tuple(chain.from_iterable(perm_compose(pool[x * m:x * m + m], table) for x in range(n)))
 
 
-def lift_12(f: PairMap) -> TripleMap:
-    """f applied to components 1,2 and the identity on component 3."""
-    return TripleMap(f.n, lift_12_table(f.table, f.n))
-
-
-def lift_23(f: PairMap) -> TripleMap:
-    """The identity on component 1 and f on components 2,3."""
-    return TripleMap(f.n, lift_23_table(f.table, f.n))
-
-
-def decode_pair(n: int, v: int) -> tuple[int, int]:
-    return divmod(v, n)
-
-
-def first_pair_difference(f: PairMap, g: PairMap) -> tuple[int, int] | None:
-    for i, (a, b) in enumerate(zip(f.table, g.table)):
-        if a != b:
-            return decode_pair(f.n, i)
-    return None
+def first_difference(n: int, arity: int, a: Iterable[int], b: Iterable[int]) -> tuple[int, ...] | None:
+    """The least point of X^arity at which the tables a and b differ, or None."""
+    i = next(compress(count(), map(ne, a, b)), None)
+    return None if i is None else _codec(n, arity)[0][i]
 
 
 _BLOCK = 4096  # points per comparison step: amortises its cost, still stops early
@@ -225,7 +190,7 @@ def first_mismatch(n: int, lhs: Sequence[Perm], rhs: Sequence[Perm]) -> tuple[in
     for start in range(0, n ** 3, _BLOCK):
         a = perm_chain(*lhs[:-1], lhs[-1][start:start + _BLOCK])
         b = perm_chain(*rhs[:-1], rhs[-1][start:start + _BLOCK])
-        if a != b:
+        if a != b:  # decoded by hand: a codec of X^3 would keep n^3 tuples alive
             x, yz = divmod(start + next(compress(count(), map(ne, a, b))), n * n)
             return (x, *divmod(yz, n))
     return None

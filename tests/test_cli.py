@@ -87,6 +87,30 @@ def test_verify_rejects_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"[" * 100000, "error: invalid JSON: maximum recursion depth exceeded"),
+        (b"\xff\xfe{", "is not UTF-8 text: "),
+    ],
+    ids=["deeply-nested", "not-utf8"],
+)
+def test_verify_rejects_unreadable_documents(tmp_path, capsys, data, message):
+    # Deeply nested JSON and bytes that are not UTF-8 are format errors.
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_format_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_verify_rejects_axiom_violation(tmp_path, capsys):
     # bijective pair table that is not a braiding: 3-cycle on encoded pairs
     doc = {"kind": "solution", "n": 2, "r": [[0, 1], [1, 0], [0, 0], [1, 1]]}
@@ -237,6 +261,28 @@ def test_enumerate_twists_and_families_honour_the_budget(tmp_path, capsys):
         code, out, err = run(capsys, "enumerate", *argv, "--budget", "48")
         assert code == 0
         assert json.loads(out.strip().split("\n")[-1]) == {"count": 48, "kind": "report"}
+
+
+def test_classify_honours_the_budget(tmp_path, capsys, monkeypatch):
+    import skewtwist as st
+    from skewtwist.groups import direct_product
+
+    brace = tmp_path / "z2cubed.json"
+    brace.write_text(canonical_dumps(brace_to_doc(
+        st.trivial_brace(direct_product(st.cyclic(2), st.klein())))))
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "10")
+    code, out, err = run(capsys, "classify", "--b1", str(brace), "--b2", str(brace))
+    assert (code, out) == (3, "")
+    assert err == "error: twist enumeration of 770527199232 items exceeded budget of 10\n"
+    # Klein has 48 twists: refused at a budget of 47, reported at 48.
+    kb = tmp_path / "klein-brace.json"
+    run(capsys, "gen", "klein-trivial-brace", "--out", str(kb))
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "47")
+    code, out, err = run(capsys, "classify", "--b1", str(kb), "--b2", str(kb))
+    assert (code, out) == (3, "")
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "48")
+    code, out, err = run(capsys, "classify", "--b1", str(kb), "--b2", str(kb))
+    assert code == 0 and json.loads(out)["count"] == 48
 
 
 def test_classify_report(tmp_path, capsys):

@@ -2,9 +2,14 @@
 composition, inversion, and the named twist constructions."""
 
 import itertools
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import skewtwist
 from skewtwist.errors import (
     BraidFails,
     Degenerate,
@@ -29,7 +34,7 @@ from skewtwist.solutions import (
     lyubashenko_shape,
     verify_twist,
 )
-from skewtwist.tables import PairMap, TripleMap, compose_pairmaps
+from skewtwist.tables import PairMap, TripleMap, lift_12_table, lift_23_table
 
 
 def oracle_braid_holds(n, r):
@@ -253,6 +258,53 @@ def test_brute_force_twists_flip2():
     # stream is lexicographic in (F, Phi)
     keys = [(t.F.table, t.Phi.table) for t in twists]
     assert keys == sorted(keys)
+
+
+def numpy_brute_force_twists(s):
+    """Reference brute force at n = 2: every (F, Phi), Psi forced by T1 as
+    F12^-1 . F23 . Phi, T2 and T3 checked as vectorised numpy gathers."""
+    n = s.n
+    phis = np.array(list(itertools.permutations(range(8))), dtype=np.int64)
+    r12 = np.array(lift_12_table(s.r.table, n))
+    r23 = np.array(lift_23_table(s.r.table, n))
+    for fperm in itertools.permutations(range(4)):
+        F = PairMap(n, fperm)
+        f12 = np.array(lift_12_table(F.table, n))
+        f23 = np.array(lift_23_table(F.table, n))
+        # composition as indexing: (f o g)[i] = f[g[i]]
+        psis = np.argsort(f12)[f23[phis]]
+        t2_ok = (phis[:, r23] == r23[phis]).all(axis=1)
+        t3_ok = (psis[:, r12] == r12[psis]).all(axis=1)
+        for row in np.nonzero(t2_ok & t3_ok)[0]:
+            yield TwistTriple(
+                F,
+                TripleMap(n, tuple(int(v) for v in phis[row])),
+                TripleMap(n, tuple(int(v) for v in psis[row])),
+            )
+
+
+@pytest.mark.parametrize("sigma, gamma", [((0, 1), (0, 1)), ((1, 0), (0, 1)),
+                                          ((0, 1), (1, 0)), ((1, 0), (1, 0))])
+def test_brute_force_twists_match_numpy_reference(sigma, gamma):
+    # flip(2) and the three other Lyubashenko solutions on two points.
+    s = lyubashenko_solution(2, sigma, gamma)
+    got = list(brute_force_twists(s))
+    want = list(numpy_brute_force_twists(s))
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a == b
+
+
+def test_brute_force_does_not_import_numpy():
+    code = (
+        "import sys, skewtwist as st\n"
+        "assert sum(1 for _ in st.brute_force_twists(st.flip_solution(2))) == 32\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(skewtwist.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "False\n"
 
 
 def test_brute_force_twists_caps_size():

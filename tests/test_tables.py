@@ -1,5 +1,6 @@
-"""Encoded pair/triple map tables: composition, inversion, lifts, and the
-compose-and-compare kernel (pooled lifts, perm_chain, first_mismatch)."""
+"""Encoded pair/triple map tables: the point codec, composition, inversion,
+lifts, and the compose-and-compare kernel (pooled lifts, perm_chain,
+first_mismatch, first_difference)."""
 
 import itertools
 import random
@@ -7,19 +8,16 @@ import random
 import pytest
 
 from skewtwist.errors import NotBijective, SizeMismatch
+from skewtwist.serialize import _rows
 from skewtwist.tables import (
     PairMap,
     TripleMap,
+    _codec,
     all_pair_bijections,
-    compose_pairmaps,
-    compose_triplemaps,
-    decode_pair,
+    first_difference,
     first_mismatch,
-    first_pair_difference,
     lift_12_table,
     lift_23_table,
-    lift_12,
-    lift_23,
     perm_chain,
     perm_compose,
     perm_identity,
@@ -31,6 +29,19 @@ from skewtwist.tables import (
 def triple_map(n, fn):
     """A TripleMap from its per-point definition, independent of the kernel."""
     return TripleMap.from_callable(n, fn)
+
+
+def lift_12(f):
+    return TripleMap(f.n, lift_12_table(f.table, f.n))
+
+
+def lift_23(f):
+    return TripleMap(f.n, lift_23_table(f.table, f.n))
+
+
+def compose(f, g):
+    """f o g for two tables of one type and size."""
+    return type(f)(f.n, perm_compose(f.table, g.table))
 
 
 def pointwise_first_mismatch(n, lhs, rhs):
@@ -64,7 +75,7 @@ def test_pairmap_identity_and_flip():
         for y in range(3):
             assert ident(x, y) == (x, y)
             assert flip(x, y) == (y, x)
-    assert compose_pairmaps(flip, flip) == ident
+    assert compose(flip, flip) == ident
     assert flip.inverse() == flip
     assert flip.order() == 2
     assert ident.order() == 1
@@ -74,8 +85,8 @@ def test_pairmap_from_callable_roundtrip():
     f = PairMap.from_callable(4, lambda x, y: ((x + y) % 4, y))
     assert f.is_bijective
     g = f.inverse()
-    assert compose_pairmaps(f, g) == PairMap.identity(4)
-    assert compose_pairmaps(g, f) == PairMap.identity(4)
+    assert compose(f, g) == PairMap.identity(4)
+    assert compose(g, f) == PairMap.identity(4)
     assert lift_12(f).inverse() == lift_12(g)
     assert lift_23(f).inverse() == lift_23(g)
 
@@ -89,9 +100,13 @@ def test_noninvertible_pairmap_detected():
 
 def test_size_mismatch_raises():
     with pytest.raises(SizeMismatch):
-        compose_pairmaps(PairMap.identity(2), PairMap.identity(3))
+        PairMap(2, perm_identity(9))
     with pytest.raises(SizeMismatch):
-        compose_triplemaps(TripleMap.identity(2), TripleMap.identity(3))
+        TripleMap(3, perm_identity(8))
+    with pytest.raises(SizeMismatch):
+        PairMap(2, (0, 1, 2, 4))
+    with pytest.raises(SizeMismatch):
+        TripleMap(2, (-1,) + perm_identity(8)[1:])
 
 
 def test_lifts_are_homomorphisms():
@@ -100,7 +115,7 @@ def test_lifts_are_homomorphisms():
     a = PairMap.from_callable(n, lambda x, y: ((x + y) % n, y))
     b = PairMap.from_callable(n, lambda x, y: (x, (x + 2 * y) % n))
     for lift in (lift_12, lift_23):
-        assert lift(compose_pairmaps(a, b)) == compose_triplemaps(lift(a), lift(b))
+        assert lift(compose(a, b)) == compose(lift(a), lift(b))
         assert lift(PairMap.identity(n)) == TripleMap.identity(n)
     # lift_12 and lift_23 are slices and gathers of the int pool; they must
     # agree with their per-entry definitions on arbitrary (also non-bijective)
@@ -144,10 +159,27 @@ def test_lift_positions():
 
 
 def test_decode_helpers():
+    # The codec lists the points of X^k in code order and maps each back to
+    # its row-major code, for every arity a table uses.
+    for n in (1, 2, 4):
+        for k in (1, 2, 3):
+            points, codes = _codec(n, k)
+            assert points == tuple(itertools.product(range(n), repeat=k))
+            for v, point in enumerate(points):
+                code = 0
+                for c in point:
+                    code = code * n + c
+                assert code == v and codes[point] == v
+    # __call__ and the serializer's rows decode through it.
     n = 4
-    for x in range(n):
-        for y in range(n):
-            assert decode_pair(n, x * n + y) == (x, y)
+    rng = random.Random(7)
+    f = PairMap(n, tuple(rng.randrange(n * n) for _ in range(n * n)))
+    g = TripleMap(n, tuple(rng.randrange(n ** 3) for _ in range(n ** 3)))
+    for x, y in itertools.product(range(n), repeat=2):
+        assert PairMap.identity(n)(x, y) == (x, y)
+        assert f(x, y) == divmod(f.table[x * n + y], n)
+    assert _rows(f) == [list(divmod(v, n)) for v in f.table]
+    assert _rows(g) == [[v // (n * n), v // n % n, v % n] for v in g.table]
     # Triples are decoded inside first_mismatch: a table that differs from
     # the identity at one point only is reported at exactly that point.
     ident = perm_identity(n ** 3)
@@ -188,11 +220,19 @@ def test_first_mismatch_matches_pointwise_scan(n):
         assert first_mismatch(n, (a, b, c), (a, b, tuple(moved))) == want
 
 
-def test_first_pair_difference_is_lex_minimal():
+def test_first_difference_is_lex_minimal():
     a = PairMap.identity(2)
     b = PairMap.flip(2)
-    assert first_pair_difference(a, b) == (0, 1)
-    assert first_pair_difference(a, a) is None
+    assert first_difference(2, 2, a.table, b.table) == (0, 1)
+    assert first_difference(2, 2, a.table, a.table) is None
+    # Any arity, any iterables of codes: the least differing point is reported.
+    n = 3
+    ident = perm_identity(n ** 3)
+    for i in (0, 13, n ** 3 - 1):
+        moved = list(ident)
+        moved[i] = (i + 1) % n ** 3
+        assert first_difference(n, 3, ident, iter(moved)) == _codec(n, 3)[0][i]
+    assert first_difference(n, 1, (0, 1, 2), (0, 2, 2)) == (1,)
 
 
 def test_all_pair_bijections_count():
