@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import AxiomFails, BraidFails, InvalidTwist, NotABrace, NotBijective, ShapeMismatch, SizeMismatch
+from .errors import AxiomFails, BraidFails, NotABrace, NotBijective, ShapeMismatch, SizeMismatch
 from .groups import FiniteGroup, MulTable
 from .solutions import (
     TwistReport,
@@ -203,9 +203,7 @@ def apply_brace_twist(b: BraidedGroup, t: TwistTriple) -> BraidedGroup:
     t is verified on b once (T1-T3, G1-G4, L1/L2); the result is validated as
     a braided group.
     """
-    report = verify_brace_twist(b, t)
-    if not report:
-        raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
+    verify_brace_twist(b, t).require()
     return _twisted_brace(b, t)
 
 
@@ -221,9 +219,7 @@ def compose_brace_twists(outer: TwistTriple, inner: TwistTriple, b: BraidedGroup
     once each); the composite is then verified once as a brace twist on b.
     """
     composed = compose_twists(outer, inner, b.solution)
-    report = verify_brace_twist(b, composed)
-    if not report:
-        raise InvalidTwist(f"composite: {report.axiom} fails at {report.witness}")
+    verify_brace_twist(b, composed).require("composite: ")
     return composed
 
 
@@ -233,13 +229,9 @@ def invert_brace_twist(t: TwistTriple, b: BraidedGroup) -> TwistTriple:
     t is verified once as a brace twist on b, and the inverse once on the
     twisted brace.
     """
-    report = verify_brace_twist(b, t)
-    if not report:
-        raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
+    verify_brace_twist(b, t).require()
     inverse = _invert(t)
-    report = verify_brace_twist(_twisted_brace(b, t), inverse)
-    if not report:
-        raise InvalidTwist(f"inverse: {report.axiom} fails at {report.witness}")
+    verify_brace_twist(_twisted_brace(b, t), inverse).require("inverse: ")
     return inverse
 
 

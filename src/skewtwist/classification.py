@@ -174,15 +174,11 @@ def _family_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[tuple[IsoFami
     if b1.n != b2.n:
         return
     theta1 = theta_canonical_twist(b1)
-    report = verify_brace_twist(b1, theta1)
-    if not report:
-        raise InvalidTwist(f"canonical twist: {report.axiom} fails at {report.witness}")
+    verify_brace_twist(b1, theta1).require("canonical twist: ")
     theta2_inv = invert_brace_twist(theta_canonical_twist(b2), b2)
     for fam in enumerate_families(b1.star, b2.star):
         twist = _compose(theta2_inv, _compose(_family_triple(fam), theta1))
-        report = verify_brace_twist(b1, twist)
-        if not report:
-            raise InvalidTwist(f"composite: {report.axiom} fails at {report.witness}")
+        verify_brace_twist(b1, twist).require("composite: ")
         mul, r = _twisted_tables(b1, twist)
         where = first_difference(b1.n, 2, r.table, b2.r.table)
         if where is not None:
@@ -207,7 +203,7 @@ def anytwist_f_matches(
     b1: BraidedGroup, b2: BraidedGroup, fam: IsoFamily, t: TwistTriple
 ) -> bool:
     """Check the closed form of the F-component of a decomposed twist:
-    F(x, y) = (f_p(x), f_p(x)^-2 .2 p) with p = x .1 y, where .1 and .2 are
+    F(x, y) = (f_p(x), f_p(x)^-1 .2 p) with p = x .1 y, where .1 and .2 are
     the multiplications of b1 and b2."""
     n = b1.n
     for x in range(n):

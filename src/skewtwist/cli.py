@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 axiom violation, 2 format or I/O error,
-3 enumeration budget exceeded.
+Exit codes: 0 success; on a SkewtwistError, the exit_code of its class
+(1 axiom violation, 2 format error, 3 enumeration budget exceeded); 2 on an
+I/O error.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .classification import (
     enumerate_families,
     theta_canonical_twist,
 )
-from .matched import DEFAULT_THETA_BUDGET, enumerate_thetas, triple_from_theta
 from .generators import gen
+from .groups import FiniteGroup
+from .matched import DEFAULT_THETA_BUDGET, MatchedPair, ThetaMap, enumerate_thetas, triple_from_theta
 from .serialize import (
     brace_to_doc,
     canonical_dumps,
@@ -42,32 +44,13 @@ from .serialize import (
     twist_to_doc,
 )
 from .solutions import (
+    TwistTriple,
     YbeSolution,
     apply_twist,
     brute_force_twists,
     compose_twists,
     invert_twist,
     verify_twist,
-)
-
-AXIOM_ERRORS = (
-    errors.AxiomFails,
-    errors.BraidFails,
-    errors.InvalidTwist,
-    errors.NotBijective,
-    errors.Degenerate,
-    errors.ShapeMismatch,
-    errors.NonCommuting,
-    errors.NotABrace,
-    errors.InvalidFamily,
-    errors.NotClassifiable,
-    errors.InvalidTheta,
-)
-FORMAT_ERRORS = (
-    errors.DocumentError,
-    errors.UnknownGenerator,
-    errors.BadParams,
-    errors.SizeMismatch,
 )
 
 
@@ -83,8 +66,23 @@ def _read_doc(path: str):
     return parse_document(text)
 
 
-def _load(path: str):
-    return load_document(_read_doc(path))
+def _load(path: str | None, cls, flag: str):
+    """The document named by an input flag, which must be given and load as a cls."""
+    if path is None:
+        raise errors.DocumentError(f"{flag} is required")
+    obj = load_document(_read_doc(path))
+    if not isinstance(obj, cls):
+        raise errors.DocumentError(f"{flag} must be a {cls.__name__} document")
+    return obj
+
+
+def _on_base(base, on_brace, on_solution):
+    """Dispatch on the kind of a --base document: brace or solution."""
+    if isinstance(base, BraidedGroup):
+        return on_brace(base)
+    if isinstance(base, YbeSolution):
+        return on_solution(base)
+    raise errors.DocumentError("--base must be a solution or brace document")
 
 
 def _write(text: str, out: str | None):
@@ -96,26 +94,12 @@ def _write(text: str, out: str | None):
 
 
 def _to_doc(obj) -> dict:
-    from .groups import FiniteGroup
-    from .serialize import group_to_doc
-
-    if isinstance(obj, YbeSolution):
-        return solution_to_doc(obj)
-    if isinstance(obj, BraidedGroup):
-        return brace_to_doc(obj)
-    if isinstance(obj, FiniteGroup):
-        return group_to_doc(obj)
-    raise errors.DocumentError(f"cannot serialize {type(obj).__name__}")
-
-
-def _require(obj, cls, what: str):
-    if not isinstance(obj, cls):
-        raise errors.DocumentError(f"{what} must be a {cls.__name__} document")
-    return obj
+    """The document of a brace or a solution, the two results of gen and twist."""
+    return brace_to_doc(obj) if isinstance(obj, BraidedGroup) else solution_to_doc(obj)
 
 
 def cmd_gen(args) -> int:
-    obj = gen(args.name, args.params, _env_budget())
+    obj = gen(args.name, args.params, args.budget)
     _write(canonical_dumps(_to_doc(obj)), args.out)
     return 0
 
@@ -127,13 +111,8 @@ def cmd_verify(args) -> int:
     if kind == "twist":
         if args.base is None:
             raise errors.DocumentError("verifying a twist requires --base")
-        base = _load(args.base)
-        if isinstance(base, BraidedGroup):
-            report = verify_brace_twist(base, obj)
-        elif isinstance(base, YbeSolution):
-            report = verify_twist(base, obj)
-        else:
-            raise errors.DocumentError("--base must be a solution or brace document")
+        base = _load(args.base, object, "--base")
+        report = _on_base(base, lambda b: verify_brace_twist(b, obj), lambda s: verify_twist(s, obj))
         if not report:
             print(f"FAIL {report.axiom} at {report.witness}", file=sys.stderr)
             return 1
@@ -142,42 +121,31 @@ def cmd_verify(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    base = _load(args.base)
-    twist = _load(args.twist)
-    if isinstance(base, BraidedGroup):
-        result = apply_brace_twist(base, twist)
-    elif isinstance(base, YbeSolution):
-        result = apply_twist(base, twist)
-    else:
-        raise errors.DocumentError("--base must be a solution or brace document")
+    base = _load(args.base, object, "--base")
+    twist = _load(args.twist, TwistTriple, "--twist")
+    result = _on_base(base, lambda b: apply_brace_twist(b, twist), lambda s: apply_twist(s, twist))
     _write(canonical_dumps(_to_doc(result)), args.out)
     print("ok: twist applied", file=sys.stderr)
     return 0
 
 
 def cmd_compose(args) -> int:
-    outer = _load(args.outer)
-    inner = _load(args.inner)
-    base = _load(args.base)
-    if isinstance(base, BraidedGroup):
-        result = compose_brace_twists(outer, inner, base)
-    elif isinstance(base, YbeSolution):
-        result = compose_twists(outer, inner, base)
-    else:
-        raise errors.DocumentError("--base must be a solution or brace document")
+    outer = _load(args.outer, TwistTriple, "--outer")
+    inner = _load(args.inner, TwistTriple, "--inner")
+    base = _load(args.base, object, "--base")
+    result = _on_base(
+        base,
+        lambda b: compose_brace_twists(outer, inner, b),
+        lambda s: compose_twists(outer, inner, s),
+    )
     _write(canonical_dumps(twist_to_doc(result)), args.out)
     return 0
 
 
 def cmd_invert(args) -> int:
-    twist = _load(args.twist)
-    base = _load(args.base)
-    if isinstance(base, BraidedGroup):
-        result = invert_brace_twist(twist, base)
-    elif isinstance(base, YbeSolution):
-        result = invert_twist(twist, base)
-    else:
-        raise errors.DocumentError("--base must be a solution or brace document")
+    twist = _load(args.twist, TwistTriple, "--twist")
+    base = _load(args.base, object, "--base")
+    result = _on_base(base, lambda b: invert_brace_twist(twist, b), lambda s: invert_twist(twist, s))
     _write(canonical_dumps(twist_to_doc(result)), args.out)
     return 0
 
@@ -202,30 +170,26 @@ def _check_count(what: str, count: int, budget: int) -> None:
 def cmd_enumerate(args) -> int:
     budget = args.budget
     if args.what == "twists":
-        b1 = _require(_load(args.b1), BraidedGroup, "--b1")
-        b2 = _require(_load(args.b2), BraidedGroup, "--b2")
+        b1 = _load(args.b1, BraidedGroup, "--b1")
+        b2 = _load(args.b2, BraidedGroup, "--b2")
         _check_count("twist", count_twists(b1, b2), budget)
         return _emit_stream(
             (twist_to_doc(t) for t in enumerate_brace_twists(b1, b2)), args.out
         )
     if args.what == "families":
-        from .groups import FiniteGroup
-
-        src = _require(_load(args.src), FiniteGroup, "--src")
-        tgt = _require(_load(args.tgt), FiniteGroup, "--tgt")
+        src = _load(args.src, FiniteGroup, "--src")
+        tgt = _load(args.tgt, FiniteGroup, "--tgt")
         _check_count("family", count_families(src, tgt), budget)
         return _emit_stream(
             (family_to_doc(f) for f in enumerate_families(src, tgt)), args.out
         )
     if args.what == "thetas":
-        from .matched import MatchedPair
-
-        pair = _require(_load(args.pair), MatchedPair, "--pair")
+        pair = _load(args.pair, MatchedPair, "--pair")
         return _emit_stream(
             (theta_to_doc(t) for t in enumerate_thetas(pair, budget=budget)), args.out
         )
     if args.what == "brute":
-        sol = _require(_load(args.solution), YbeSolution, "--solution")
+        sol = _load(args.solution, YbeSolution, "--solution")
         return _emit_stream(
             (twist_to_doc(t) for t in brute_force_twists(sol)), args.out
         )
@@ -233,12 +197,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    b1 = _require(_load(args.b1), BraidedGroup, "--b1")
-    b2 = _require(_load(args.b2), BraidedGroup, "--b2")
+    b1 = _load(args.b1, BraidedGroup, "--b1")
+    b2 = _load(args.b2, BraidedGroup, "--b2")
     related = are_twist_related(b1, b2)
     twists = []
     if related:
-        _check_count("twist", count_twists(b1, b2), _env_budget())
+        _check_count("twist", count_twists(b1, b2), args.budget)
         theta1 = theta_canonical_twist(b1)
         theta2 = theta_canonical_twist(b2)
         for fam, twist in _family_twists(b1, b2):
@@ -264,21 +228,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_matched_check(args) -> int:
-    pair = _load(args.infile)
-    from .matched import MatchedPair
-
-    _require(pair, MatchedPair, "--in")
+    pair = _load(args.infile, MatchedPair, "--in")
     print("ok: valid matched pair", file=sys.stderr)
     _write(canonical_dumps(matched_pair_to_doc(pair)), args.out)
     return 0
 
 
 def cmd_theta_apply(args) -> int:
-    from .matched import MatchedPair, ThetaMap
-
-    pair = _require(_load(args.pair), MatchedPair, "--pair")
-    theta = _require(_load(args.theta), ThetaMap, "--theta")
-    base = _require(_load(args.base), BraidedGroup, "--base")
+    pair = _load(args.pair, MatchedPair, "--pair")
+    theta = _load(args.theta, ThetaMap, "--theta")
+    base = _load(args.base, BraidedGroup, "--base")
     triple = triple_from_theta(pair, theta, base)
     if args.apply:
         _write(canonical_dumps(brace_to_doc(apply_brace_twist(base, triple))), args.out)
@@ -311,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("params", nargs="*")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_gen)
+    p.set_defaults(fn=cmd_gen, budget=default_budget)
 
     p = sub.add_parser("verify", help="validate a document")
     p.add_argument("--in", dest="infile", default="-")
@@ -353,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", required=True)
     p.add_argument("--b2", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_classify)
+    p.set_defaults(fn=cmd_classify, budget=default_budget)
 
     p = sub.add_parser("matched-check", help="validate a matched pair")
     p.add_argument("--in", dest="infile", default="-")
@@ -375,15 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except errors.TooLarge as exc:
+    except errors.SkewtwistError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AXIOM_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FORMAT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,16 +2,17 @@
 
 Validation failures carry the name of the violated axiom and the smallest
 witness input, so callers (and the CLI) can report exactly where a table
-went wrong.
+went wrong.  Each class carries the CLI exit code it maps to: 1 for an axiom
+violation (the default), 2 for a malformed input, 3 for work over budget.
 """
 
 
 class SkewtwistError(Exception):
-    pass
+    exit_code = 1
 
 
 class SizeMismatch(SkewtwistError):
-    pass
+    exit_code = 2
 
 
 class NotBijective(SkewtwistError):
@@ -48,7 +49,7 @@ class NonCommuting(SkewtwistError):
 
 
 class TooLarge(SkewtwistError):
-    pass
+    exit_code = 3
 
 
 class NotABrace(SkewtwistError):
@@ -68,12 +69,14 @@ class InvalidTheta(SkewtwistError):
 
 
 class UnknownGenerator(SkewtwistError):
-    pass
+    exit_code = 2
 
 
 class BadParams(SkewtwistError):
-    pass
+    exit_code = 2
 
 
 class DocumentError(SkewtwistError):
     """Malformed document: bad JSON shape, missing keys, out-of-range entries."""
+
+    exit_code = 2

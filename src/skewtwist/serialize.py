@@ -24,17 +24,6 @@ def canonical_dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _with_meta(doc: dict, name: str | None, notes: str | None) -> dict:
-    meta = {}
-    if name is not None:
-        meta["name"] = name
-    if notes is not None:
-        meta["notes"] = notes
-    if meta:
-        doc["meta"] = meta
-    return doc
-
-
 def _rows(t: Table) -> list[list[int]]:
     """The rows of a pair or triple table: the decoded image of each point."""
     return list(map(list, map(_codec(t.n, t.arity)[0].__getitem__, t.table)))
@@ -80,80 +69,60 @@ def _read_n(doc: dict, key: str = "n") -> int:
     return n
 
 
-def solution_to_doc(sol: YbeSolution, name: str | None = None, notes: str | None = None) -> dict:
-    return _with_meta({"kind": "solution", "n": sol.n, "r": _rows(sol.r)}, name, notes)
+def solution_to_doc(sol: YbeSolution) -> dict:
+    return {"kind": "solution", "n": sol.n, "r": _rows(sol.r)}
 
 
-def group_to_doc(g: FiniteGroup, name: str | None = None, notes: str | None = None) -> dict:
-    return _with_meta({"kind": "group", "n": g.n, "mul": [list(row) for row in g.mul]}, name, notes)
+def group_to_doc(g: FiniteGroup) -> dict:
+    return {"kind": "group", "n": g.n, "mul": [list(row) for row in g.mul]}
 
 
-def brace_to_doc(b: BraidedGroup, name: str | None = None, notes: str | None = None) -> dict:
-    return _with_meta(
-        {
-            "kind": "brace",
-            "n": b.n,
-            "mul": [list(row) for row in b.group.mul],
-            "r": _rows(b.r),
-        },
-        name,
-        notes,
-    )
+def brace_to_doc(b: BraidedGroup) -> dict:
+    return {
+        "kind": "brace",
+        "n": b.n,
+        "mul": [list(row) for row in b.group.mul],
+        "r": _rows(b.r),
+    }
 
 
-def twist_to_doc(t: TwistTriple, name: str | None = None, notes: str | None = None) -> dict:
-    return _with_meta(
-        {
-            "kind": "twist",
-            "n": t.n,
-            "f": _rows(t.F),
-            "phi": _rows(t.Phi),
-            "psi": _rows(t.Psi),
-        },
-        name,
-        notes,
-    )
+def twist_to_doc(t: TwistTriple) -> dict:
+    return {
+        "kind": "twist",
+        "n": t.n,
+        "f": _rows(t.F),
+        "phi": _rows(t.Phi),
+        "psi": _rows(t.Psi),
+    }
 
 
-def family_to_doc(fam: IsoFamily, name: str | None = None, notes: str | None = None) -> dict:
-    return _with_meta(
-        {
-            "kind": "family",
-            "n": fam.n,
-            "source": [list(row) for row in fam.source.mul],
-            "target": [list(row) for row in fam.target.mul],
-            "maps": [list(m) for m in fam.maps],
-        },
-        name,
-        notes,
-    )
+def family_to_doc(fam: IsoFamily) -> dict:
+    return {
+        "kind": "family",
+        "n": fam.n,
+        "source": [list(row) for row in fam.source.mul],
+        "target": [list(row) for row in fam.target.mul],
+        "maps": [list(m) for m in fam.maps],
+    }
 
 
-def matched_pair_to_doc(p: MatchedPair, name: str | None = None, notes: str | None = None) -> dict:
-    return _with_meta(
-        {
-            "kind": "matched-pair",
-            "nplus": p.gplus.n,
-            "nminus": p.gminus.n,
-            "gplus": [list(row) for row in p.gplus.mul],
-            "gminus": [list(row) for row in p.gminus.mul],
-            "actl": [list(row) for row in p.act_left],
-            "actr": [list(row) for row in p.act_right],
-        },
-        name,
-        notes,
-    )
+def matched_pair_to_doc(p: MatchedPair) -> dict:
+    return {
+        "kind": "matched-pair",
+        "nplus": p.gplus.n,
+        "nminus": p.gminus.n,
+        "gplus": [list(row) for row in p.gplus.mul],
+        "gminus": [list(row) for row in p.gminus.mul],
+        "actl": [list(row) for row in p.act_left],
+        "actr": [list(row) for row in p.act_right],
+    }
 
 
-def theta_to_doc(theta: ThetaMap, name: str | None = None, notes: str | None = None) -> dict:
+def theta_to_doc(theta: ThetaMap) -> dict:
     rows = [
         [theta.theta1[i], theta.theta2[i]] for i in range(theta.nminus * theta.nminus)
     ]
-    return _with_meta(
-        {"kind": "theta", "nminus": theta.nminus, "nplus": theta.nplus, "theta": rows},
-        name,
-        notes,
-    )
+    return {"kind": "theta", "nminus": theta.nminus, "nplus": theta.nplus, "theta": rows}
 
 
 def doc_to_solution(doc: dict) -> YbeSolution:

@@ -76,6 +76,12 @@ class TwistReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self, context: str = "") -> None:
+        """Raise InvalidTwist naming the violated axiom and its witness,
+        prefixed by context, unless the check passed."""
+        if not self.ok:
+            raise InvalidTwist(f"{context}{self.axiom} fails at {self.witness}")
+
 
 def check_solution(n: int, r: PairMap) -> YbeSolution:
     """Validate the braid equation and extract the sigma/gamma tables."""
@@ -130,9 +136,7 @@ def _conjugate(t: TwistTriple, r: PairMap) -> PairMap:
 
 def apply_twist(s: YbeSolution, t: TwistTriple) -> YbeSolution:
     """The twisted solution F r F^-1, revalidated against the braid equation."""
-    report = verify_twist(s, t)
-    if not report:
-        raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
+    verify_twist(s, t).require()
     return check_solution(s.n, _conjugate(t, s.r))
 
 
@@ -161,22 +165,16 @@ def compose_twists(outer: TwistTriple, inner: TwistTriple, s: YbeSolution) -> Tw
     inner is verified on s and outer on the twisted solution, once each; the
     composite is (G F, F23^-1 phi F23 Phi, F12^-1 psi F12 Psi).
     """
-    inner_report = verify_twist(s, inner)
-    if not inner_report:
-        raise InvalidTwist(f"inner twist: {inner_report.axiom} fails at {inner_report.witness}")
+    verify_twist(s, inner).require("inner twist: ")
     mid = check_solution(s.n, _conjugate(inner, s.r))
-    outer_report = verify_twist(mid, outer)
-    if not outer_report:
-        raise InvalidTwist(f"outer twist: {outer_report.axiom} fails at {outer_report.witness}")
+    verify_twist(mid, outer).require("outer twist: ")
     return _compose(outer, inner)
 
 
 def invert_twist(t: TwistTriple, s: YbeSolution) -> TwistTriple:
     """The inverse twist (F^-1, F23 Phi^-1 F23^-1, F12 Psi^-1 F12^-1) on F r F^-1;
     t is verified on s once."""
-    report = verify_twist(s, t)
-    if not report:
-        raise InvalidTwist(f"{report.axiom} fails at {report.witness}")
+    verify_twist(s, t).require()
     return _invert(t)
 
 

@@ -9,6 +9,7 @@ import pytest
 from skewtwist import braces, classification
 from skewtwist.braces import (
     apply_brace_twist,
+    braiding_from_brace,
     check_braided_group,
     compose_brace_twists,
     invert_brace_twist,
@@ -309,3 +310,68 @@ def test_emitted_twists_must_reach_the_target_multiplication():
     b2 = dataclasses.replace(b1, group=klein())
     with pytest.raises(InvalidTwist, match="^composite: multiplication differs from the target at "):
         next(enumerate_brace_twists(b1, b2))
+
+
+def closed_form_twist(b1, b2, fam):
+    """The twist b1 -> b2 of a family, written out in closed form.
+
+    With .1, .2 the multiplications of b1 and b2 and p = x .1 y,
+    F(x, y) = (u, u^-1 .2 p) where u = f_p(x).  With (a, s) = F(x, y .1 z),
+    w the second component of F(x .1 y, z) and h = s .2 w^-1, G3, G4 and T1
+    force Phi(x, y, z) = (a, F^-1(h, w)) and Psi(x, y, z) = (F^-1(a, h), w).
+    """
+    m1, m2 = b1.group, b2.group
+
+    def f_fn(x, y):
+        p = m1.op(x, y)
+        u = fam.maps[p][x]
+        return u, m2.op(m2.inv[u], p)
+
+    F = PairMap.from_callable(b1.n, f_fn)
+    finv = F.inverse()
+
+    def parts(x, y, z):
+        a, s = F(x, m1.op(y, z))
+        w = F(m1.op(x, y), z)[1]
+        return a, m2.op(s, m2.inv[w]), w
+
+    def phi_fn(x, y, z):
+        a, h, w = parts(x, y, z)
+        return (a, *finv(h, w))
+
+    def psi_fn(x, y, z):
+        a, h, w = parts(x, y, z)
+        return (*finv(a, h), w)
+
+    return TwistTriple(F, TripleMap.from_callable(b1.n, phi_fn), TripleMap.from_callable(b1.n, psi_fn))
+
+
+def _s3_opposite():
+    s3 = symmetric(3)
+    return braiding_from_brace(FiniteGroup.from_table([list(col) for col in zip(*s3.mul)]), s3)
+
+
+CLOSED_FORM_CASES = {
+    "z4-brace->Z4": (z4_brace, lambda: trivial_brace(cyclic(4))),
+    "Z4->z4-brace": (lambda: trivial_brace(cyclic(4)), z4_brace),
+    "S3op->S3": (_s3_opposite, lambda: trivial_brace(symmetric(3))),
+    "S3->S3op": (lambda: trivial_brace(symmetric(3)), _s3_opposite),
+}
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_CASES, *CLOSED_FORM_CASES])
+def test_stream_matches_closed_form(name):
+    """Every emitted twist equals the closed form of its family, item by item."""
+    if name in REFERENCE_CASES:
+        make1, make2, prefix = REFERENCE_CASES[name]
+        b1 = make1()
+        p = tuple(random.Random(name).sample(range(b1.n), b1.n))
+        b1 = relabel(b1, p)
+        b2 = relabel(make2(), p) if make2 else b1
+    else:
+        make1, make2 = CLOSED_FORM_CASES[name]
+        b1, b2, prefix = make1(), make2(), None
+    fams = islice(enumerate_families(b1.star, b2.star), prefix)
+    got = list(islice(enumerate_brace_twists(b1, b2), prefix))
+    assert got == [closed_form_twist(b1, b2, fam) for fam in fams]
+    assert len(got) == (0 if name == "Z4->Klein" else prefix or count_twists(b1, b2))

@@ -474,3 +474,80 @@ def test_table_row_errors_are_exact(tmp_path, capsys, key, rows, message):
     path.write_text(canonical_dumps(doc))
     code, out, err = run(capsys, "verify", "--in", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "what, flag", [("twists", "--b1"), ("families", "--src"), ("thetas", "--pair"), ("brute", "--solution")]
+)
+def test_enumerate_without_its_input_flag_exits_2(capsys, what, flag):
+    assert run(capsys, "enumerate", what) == (2, "", f"error: {flag} is required\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["twist", "--base", "b.json", "--twist", "b.json"], "--twist"),
+        (["compose", "--outer", "b.json", "--inner", "t.json", "--base", "b.json"], "--outer"),
+        (["compose", "--outer", "t.json", "--inner", "b.json", "--base", "b.json"], "--inner"),
+        (["invert", "--twist", "b.json", "--base", "b.json"], "--twist"),
+    ],
+)
+def test_twist_inputs_of_another_kind_exit_2(tmp_path, capsys, monkeypatch, argv, flag):
+    import skewtwist as st
+
+    b = st.z4_brace()
+    (tmp_path / "b.json").write_text(canonical_dumps(brace_to_doc(b)))
+    (tmp_path / "t.json").write_text(canonical_dumps(twist_to_doc(st.theta_canonical_twist(b))))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {flag} must be a TwistTriple document\n")
+
+
+# The exit code of every error class, written out: 2 for malformed input,
+# 3 for work over budget, 1 for an axiom violation.
+EXIT_CODES = {
+    "DocumentError": 2,
+    "UnknownGenerator": 2,
+    "BadParams": 2,
+    "SizeMismatch": 2,
+    "TooLarge": 3,
+    "AxiomFails": 1,
+    "BraidFails": 1,
+    "Degenerate": 1,
+    "InvalidFamily": 1,
+    "InvalidTheta": 1,
+    "InvalidTwist": 1,
+    "NonCommuting": 1,
+    "NotABrace": 1,
+    "NotBijective": 1,
+    "NotClassifiable": 1,
+    "ShapeMismatch": 1,
+}
+
+
+def _error_classes():
+    from skewtwist import errors
+
+    return sorted(
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.SkewtwistError) and obj is not errors.SkewtwistError
+    )
+
+
+def test_exit_code_table_names_only_error_classes():
+    assert sorted(EXIT_CODES) == _error_classes()
+
+
+@pytest.mark.parametrize("name", _error_classes())
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, name):
+    from skewtwist import cli, errors
+
+    exc = getattr(errors, name)("boom")  # BraidFails and AxiomFails take a witness or axiom
+
+    def raising(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "gen", raising)
+    code, out, err = run(capsys, "gen", "z4-brace")
+    assert code == EXIT_CODES[name]  # a class missing from the table fails here
+    assert (out, err) == ("", f"error: {exc}\n")

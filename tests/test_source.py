@@ -1,0 +1,60 @@
+"""Static checks on the package source, run with the standard library only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skewtwist"
+
+
+def _annotation_strings(tree):
+    """String annotations ("TwistTriple"), whose names ast sees only as text."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            annotations = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield ast.parse(sub.value, mode="eval")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports but never reads, in source order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {
+        n.id
+        for root in [tree, *_annotation_strings(tree)]
+        for n in ast.walk(root)
+        if isinstance(n, ast.Name)
+    }
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_check_sees_reads_through_attributes_and_annotations():
+    source = (
+        "import os\nimport sys\nimport os.path as osp\nfrom . import errors\n"
+        "from .tables import PairMap, Perm\n"
+        "def f(x: 'Perm') -> None:\n    raise errors.BadParams(sys.argv)\n"
+    )
+    assert unused_imports(source) == ["os", "osp", "PairMap"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_no_unused_imports(module):
+    # __init__.py is left out: its imports are the package's re-exports.
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
