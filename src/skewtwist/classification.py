@@ -17,14 +17,13 @@ from typing import Iterator
 from .braces import (
     BraidedGroup,
     _twisted_tables,
-    invert_brace_twist,
     theta_canonical_twist,
     trivial_brace,
     verify_brace_twist,
 )
 from .errors import InvalidFamily, InvalidTwist, NotClassifiable, SizeMismatch
 from .groups import FiniteGroup, are_isomorphic, enumerate_isomorphisms
-from .solutions import TwistTriple, _compose
+from .solutions import TwistTriple, _compose, _invert
 from .tables import PairMap, Perm, TripleMap, first_difference, perm_inverse, perm_is_bijective
 
 
@@ -58,8 +57,6 @@ def make_iso_family(source: FiniteGroup, target: FiniteGroup, maps) -> IsoFamily
             for b in range(n):
                 if f[source.op(a, b)] != target.op(f[a], f[b]):
                     raise InvalidFamily(f"f_{g} is not a homomorphism at ({a},{b})")
-        if f[source.e] != source.e:
-            raise InvalidFamily(f"f_{g} moves the identity")
     return IsoFamily(source, target, maps)
 
 
@@ -135,47 +132,47 @@ def family_from_twist(source: FiniteGroup, target: FiniteGroup, t: TwistTriple) 
 
 
 def enumerate_families(src: FiniteGroup, tgt: FiniteGroup) -> Iterator[IsoFamily]:
-    """Cartesian product over g of the isomorphisms src -> tgt fixing g, in lex order."""
-    if src.n != tgt.n:
-        raise SizeMismatch(f"orders differ: {src.n} vs {tgt.n}")
-    stabilizers = [
-        list(enumerate_isomorphisms(src, tgt, fixed=(g, g))) for g in range(src.n)
-    ]
-    if any(not stab for stab in stabilizers):
-        return
+    """Cartesian product over g of the isomorphisms src -> tgt fixing g, in lex order,
+    each stabilizer filtered from one search whose maps need no re-validation."""
+    isos = list(enumerate_isomorphisms(src, tgt))
+    stabilizers = [[f for f in isos if f[g] == g] for g in range(src.n)]
     for choice in product(*stabilizers):
-        yield make_iso_family(src, tgt, choice)
+        yield IsoFamily(src, tgt, choice)
 
 
 def count_families(src: FiniteGroup, tgt: FiniteGroup) -> int:
-    """Number of families src -> tgt, i.e. the length of enumerate_families:
-    the product of per-element stabilizer sizes; zero when the orders differ."""
+    """Number of families src -> tgt, i.e. the length of enumerate_families: the
+    product of per-element stabilizer sizes, counted in one streaming pass in O(n)
+    memory; zero when the orders differ."""
     if src.n != tgt.n:
         return 0
-    return math.prod(
-        sum(1 for _ in enumerate_isomorphisms(src, tgt, fixed=(g, g))) for g in range(src.n)
-    )
+    fixing = [0] * src.n
+    for f in enumerate_isomorphisms(src, tgt):
+        for g, v in enumerate(f):
+            if v == g:
+                fixing[g] += 1
+    return math.prod(fixing)
 
 
 def count_twists(b1: BraidedGroup, b2: BraidedGroup) -> int:
     """Number of twists b1 -> b2: the number of families between the additive
-    groups; zero iff they are non-isomorphic."""
+    groups on their given labels.  Zero when they are non-isomorphic, but also
+    when some g is fixed by no isomorphism (see are_twist_related)."""
     return count_families(b1.star, b2.star)
 
 
 def _family_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[tuple[IsoFamily, TwistTriple]]:
     """(family, twist) for every twist b1 -> b2, in family order.
 
-    The twist of a family f is Theta2^-1 . T_f . Theta1, built through the
-    unchecked groupoid core.  Theta1 is checked on b1 and Theta2^-1 on the
-    trivial brace of b2's additive group, once per call; each composite is
-    verified once on b1 (T1-T3, G1-G4, L1/L2) and checked to map b1 onto b2.
+    The twist of a family f is Theta2^-1 . T_f . Theta1, built with the
+    unchecked groupoid core, canonical twists included.  Only the composite
+    is checked: it is verified once on b1 (T1-T3, G1-G4, L1/L2) and checked
+    to map b1 onto b2, which decides every emitted twist.
     """
     if b1.n != b2.n:
         return
     theta1 = theta_canonical_twist(b1)
-    verify_brace_twist(b1, theta1).require("canonical twist: ")
-    theta2_inv = invert_brace_twist(theta_canonical_twist(b2), b2)
+    theta2_inv = _invert(theta_canonical_twist(b2))
     for fam in enumerate_families(b1.star, b2.star):
         twist = _compose(theta2_inv, _compose(_family_triple(fam), theta1))
         verify_brace_twist(b1, twist).require("composite: ")
@@ -217,7 +214,9 @@ def anytwist_f_matches(
 
 
 def are_twist_related(b1: BraidedGroup, b2: BraidedGroup) -> bool:
-    """True iff the additive groups are isomorphic, equivalently count_twists > 0."""
+    """True iff the additive groups are isomorphic, up to relabelling.  count_twists
+    can still be 0, as it needs an isomorphism fixing each g on the given labels:
+    trivial Z4 against Z4 with 1 and 2 exchanged is related but has no twist."""
     return b1.n == b2.n and are_isomorphic(b1.star, b2.star)
 
 

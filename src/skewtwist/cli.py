@@ -203,18 +203,17 @@ def cmd_classify(args) -> int:
     twists = []
     if related:
         _check_count("twist", count_twists(b1, b2), args.budget)
-        theta1 = theta_canonical_twist(b1)
-        theta2 = theta_canonical_twist(b2)
+        decomposition = {
+            "theta1": twist_to_doc(theta_canonical_twist(b1)),
+            "theta2": twist_to_doc(theta_canonical_twist(b2)),
+        }
         for fam, twist in _family_twists(b1, b2):
             twists.append(
                 {
                     "family_maps": [list(m) for m in fam.maps],
                     "anytwist_f_ok": anytwist_f_matches(b1, b2, fam, twist),
                     "twist": twist_to_doc(twist),
-                    "decomposition": {
-                        "theta1": twist_to_doc(theta1),
-                        "theta2": twist_to_doc(theta2),
-                    },
+                    "decomposition": decomposition,
                 }
             )
     report = {

@@ -22,6 +22,7 @@ def parse_cycles(text: str, n: int) -> Perm:
         return tuple(perm)
     if _CYCLE_RE.sub("", text).strip():
         raise BadParams(f"cannot parse permutation {text!r}")
+    seen: set[int] = set()
     for cycle_text in _CYCLE_RE.findall(text):
         parts = [p for p in re.split(r"[\s,]+", cycle_text.strip()) if p]
         if not parts:
@@ -34,12 +35,12 @@ def parse_cycles(text: str, n: int) -> Perm:
             raise BadParams(f"cycle entry out of range in ({cycle_text})")
         if len(set(cycle)) != len(cycle):
             raise BadParams(f"repeated entry in cycle ({cycle_text})")
+        if seen.intersection(cycle):
+            raise BadParams(f"cycles overlap in {text!r}")
+        seen.update(cycle)
         for i, v in enumerate(cycle):
             perm[v] = cycle[(i + 1) % len(cycle)]
-    out = tuple(perm)
-    if len(set(out)) != n:
-        raise BadParams(f"cycles overlap in {text!r}")
-    return out
+    return tuple(perm)
 
 
 def lyubashenko_solution(n: int, sigma: Perm, gamma: Perm) -> YbeSolution:

@@ -91,14 +91,13 @@ def z4_radical_group() -> FiniteGroup:
     return FiniteGroup.from_table([[(a + b + 2 * a * b) % 4 for b in range(4)] for a in range(4)])
 
 
-def enumerate_isomorphisms(
-    g: FiniteGroup, h: FiniteGroup, fixed: tuple[int, int] | None = None
-) -> Iterator[Perm]:
+def enumerate_isomorphisms(g: FiniteGroup, h: FiniteGroup) -> Iterator[Perm]:
     """All group isomorphisms g -> h as image tables, lexicographically.
 
     Backtracks over images of 0, 1, ... in ascending candidate order,
     pruning on every product already determined by the assigned prefix.
-    With fixed=(a, b), only isomorphisms sending a to b are produced.
+    A complete table has passed consistent(n - 1), which checks every
+    product, and `used` keeps it injective, so each one is an isomorphism.
     """
     if g.n != h.n:
         raise SizeMismatch(f"orders differ: {g.n} vs {h.n}")
@@ -120,8 +119,6 @@ def enumerate_isomorphisms(
             return
         for cand in range(n):
             if used[cand]:
-                continue
-            if fixed is not None and k == fixed[0] and cand != fixed[1]:
                 continue
             img[k] = cand
             used[cand] = True

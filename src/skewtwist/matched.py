@@ -279,7 +279,8 @@ def enumerate_thetas(
     per call (_cocycle_watches); the pruning is the same as re-checking all
     |G-|^3 instances.  Each map found is re-checked in full by check_theta
     before it is yielded.  Raises TooLarge once more than `budget`
-    assignments have been attempted.
+    assignments have been attempted, or up front when the watch lists'
+    |G-|^3 |G+| entries alone would exceed it.
     """
     nm, np_ = p.gminus.n, p.gplus.n
     pmul = p.gplus.mul
@@ -288,6 +289,8 @@ def enumerate_thetas(
     theta1 = [-1] * (nm * nm)
     theta2 = [-1] * (nm * nm)
     f_used: set[tuple[int, int]] = set()
+    if nm ** 3 * np_ > budget:
+        raise TooLarge(f"theta enumeration exceeded budget of {budget}")
     direct, via1, via2 = _cocycle_watches(p)
     attempts = 0
 

@@ -21,6 +21,7 @@ from skewtwist.classification import (
     anytwist_f_matches,
     are_twist_related,
     braces_isomorphic,
+    count_families,
     count_twists,
     enumerate_brace_twists,
     enumerate_families,
@@ -287,20 +288,77 @@ def test_each_twist_is_verified_once(monkeypatch):
     monkeypatch.setattr(classification, "verify_brace_twist", counted)
     b = trivial_brace(klein())
     assert len(list(enumerate_brace_twists(b, b))) == 48
-    # one check per emitted twist, plus Theta1, Theta2 and Theta2^-1 once per call
-    assert len(calls) <= 48 + 3
+    # one check per emitted twist; the canonical twists are not checked apart
+    assert len(calls) == 48
 
 
 def test_emitted_twists_must_reach_the_target(monkeypatch):
     """A composite that is a valid twist on b1 but lands on the wrong brace is refused."""
     # With Theta2^-1 replaced by the identity the composite ends at the trivial
     # brace of b2's additive group, which is not b2 itself.
-    monkeypatch.setattr(
-        classification, "invert_brace_twist", lambda t, b: TwistTriple.identity(b.n)
-    )
+    monkeypatch.setattr(classification, "_invert", lambda t: TwistTriple.identity(t.n))
     b1, b2 = trivial_brace(cyclic(4)), z4_brace()
     with pytest.raises(InvalidTwist, match="^composite: braiding differs from the target at "):
         next(enumerate_brace_twists(b1, b2))
+
+
+def test_one_isomorphism_search_per_call(monkeypatch):
+    searches = []
+    search = classification.enumerate_isomorphisms
+
+    def counted(g, h):
+        searches.append((g, h))
+        return search(g, h)
+
+    monkeypatch.setattr(classification, "enumerate_isomorphisms", counted)
+    for g in (cyclic(4), klein(), symmetric(3)):
+        b = trivial_brace(g)
+        for call in (
+            lambda: count_families(g, g),
+            lambda: list(enumerate_families(g, g)),
+            lambda: count_twists(b, b),
+            lambda: list(enumerate_brace_twists(b, b)),
+        ):
+            searches.clear()
+            call()
+            assert searches == [(g, g)]
+
+
+FAMILY_PAIRS = {
+    "Z2": (cyclic(2), cyclic(2)),
+    "Z3": (cyclic(3), cyclic(3)),
+    "Z4": (cyclic(4), cyclic(4)),
+    "Klein": (klein(), klein()),
+    "S3": (symmetric(3), symmetric(3)),
+    "Z4->Klein": (cyclic(4), klein()),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_PAIRS)
+def test_families_match_the_checked_reference(name):
+    # Families are built without re-validation: each one still passes
+    # make_iso_family, and the streaming count is the brute-force product.
+    src, tgt = FAMILY_PAIRS[name]
+    families = list(enumerate_families(src, tgt))
+    for fam in families:
+        assert make_iso_family(src, tgt, fam.maps) == fam
+    assert count_families(src, tgt) == len(families) == oracle_family_count(src, tgt)
+
+
+def z4_relabelled():
+    """Z4 with 1 and 2 exchanged."""
+    p = (0, 2, 1, 3)
+    return FiniteGroup.from_table([[p[(p[x] + p[y]) % 4] for y in range(4)] for x in range(4)])
+
+
+def test_related_braces_can_have_no_twist_on_their_labels():
+    # Relatedness is isomorphism of the additive groups up to relabelling; a
+    # twist needs an isomorphism fixing each g on the given labels, and every
+    # isomorphism Z4 -> Z4-relabelled sends 1 to 2 or 3.
+    b1, b2 = trivial_brace(cyclic(4)), trivial_brace(z4_relabelled())
+    assert are_twist_related(b1, b2)
+    assert count_twists(b1, b2) == 0
+    assert list(enumerate_brace_twists(b1, b2)) == []
 
 
 def test_emitted_twists_must_reach_the_target_multiplication():

@@ -66,6 +66,14 @@ def test_gen_refuses_oversized_universes(capsys, argv, label):
     assert err == f"error: {label} elements exceeds the budget of 10000000 triple-table entries\n"
 
 
+@pytest.mark.parametrize("cycles", ["(0 1)(0 1)", "(0 1)(1 0)", "(0 1 2)(0 1 2)", "(0 1)(2 1)"])
+def test_gen_refuses_cycles_sharing_an_element(capsys, cycles):
+    for sigma, gamma in ((cycles, "id"), ("id", cycles)):
+        code, out, err = run(capsys, "gen", "lyubashenko", "3", sigma, gamma)
+        assert (code, out) == (2, "")
+        assert err == f"error: cycles overlap in {cycles!r}\n"
+
+
 def test_gen_size_guard_follows_the_budget(capsys, monkeypatch):
     monkeypatch.setenv("SKEWTWIST_BUDGET", "27")
     code, out, err = run(capsys, "gen", "flip", "3")
@@ -304,6 +312,20 @@ def test_classify_report(tmp_path, capsys):
     report = json.loads(out)
     assert report["related"] is False
     assert report["count"] == 0
+
+
+def test_classify_related_with_no_twist_on_the_labels(tmp_path, capsys):
+    # Z4 against Z4 with 1 and 2 exchanged: the additive groups are isomorphic,
+    # but no isomorphism fixes 1 on these labels, so there is no twist.
+    import skewtwist as st
+
+    p = (0, 2, 1, 3)
+    swapped = st.FiniteGroup.from_table([[p[(p[x] + p[y]) % 4] for y in range(4)] for x in range(4)])
+    b1, b2 = tmp_path / "z4.json", tmp_path / "z4-swapped.json"
+    b1.write_text(canonical_dumps(brace_to_doc(st.trivial_brace(st.cyclic(4)))))
+    b2.write_text(canonical_dumps(brace_to_doc(st.trivial_brace(swapped))))
+    code, out, err = run(capsys, "classify", "--b1", str(b1), "--b2", str(b2))
+    assert (code, out, err) == (0, '{"count":0,"kind":"report","related":true,"twists":[]}\n', "")
 
 
 def test_matched_check_and_theta_apply(tmp_path, capsys):

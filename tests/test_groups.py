@@ -1,7 +1,10 @@
 """Finite groups as multiplication tables; isomorphism enumeration."""
 
+from itertools import product
+
 import pytest
 
+from skewtwist.classification import count_families, enumerate_families
 from skewtwist.errors import AxiomFails
 from skewtwist.groups import (
     FiniteGroup,
@@ -108,10 +111,22 @@ def test_enumerate_isomorphisms_matches_oracle():
 
 
 def test_enumerate_isomorphisms_with_fixed_point():
-    g = klein()
-    for x in range(4):
-        got = list(enumerate_isomorphisms(g, g, fixed=(x, x)))
-        assert got == brute_force_isomorphisms(g, g, fixed=(x, x))
+    # The stabilizer of each x, the isomorphisms fixing x, is filtered from
+    # the one unrestricted search; the families are their product in lex order.
+    p = (0, 2, 1, 3)  # Z4 with 1 and 2 exchanged: no isomorphism from Z4 fixes 1
+    z4_swapped = FiniteGroup.from_table([[p[(p[x] + p[y]) % 4] for y in range(4)] for x in range(4)])
+    cases = [
+        (klein(), klein()),
+        (cyclic(4), cyclic(4)),
+        (symmetric(3), symmetric(3)),
+        (cyclic(4), klein()),
+        (cyclic(4), z4_swapped),
+    ]
+    for g, h in cases:
+        stabilizers = [brute_force_isomorphisms(g, h, fixed=(x, x)) for x in range(g.n)]
+        got = [fam.maps for fam in enumerate_families(g, h)]
+        assert got == list(product(*stabilizers))
+        assert count_families(g, h) == len(got)
 
 
 def test_automorphism_counts():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from skewtwist import matched
 from skewtwist.braces import theta_canonical_twist, trivial_brace
 from skewtwist.errors import AxiomFails, InvalidTheta, TooLarge
 from skewtwist.generators import z4_brace
@@ -141,6 +142,28 @@ def test_enumerate_thetas_budget():
     p = pair_from_brace(trivial_brace(cyclic(4)))
     with pytest.raises(TooLarge):
         list(enumerate_thetas(p, budget=10))
+
+
+def test_theta_budget_bounds_the_watch_lists(monkeypatch):
+    # The watch lists cost about |G-|^3 |G+| entries; a budget below that is
+    # refused before they are built (24^4 = 331776 for the S4 self-pair).
+    built = []
+    watches = matched._cocycle_watches
+
+    def spy(p):
+        built.append(p)
+        return watches(p)
+
+    monkeypatch.setattr(matched, "_cocycle_watches", spy)
+    s4 = pair_from_brace(trivial_brace(symmetric(4)))
+    with pytest.raises(TooLarge, match="^theta enumeration exceeded budget of 331775$"):
+        next(enumerate_thetas(s4, budget=24 ** 4 - 1))
+    z3 = pair_from_brace(trivial_brace(cyclic(3)))
+    with pytest.raises(TooLarge, match="^theta enumeration exceeded budget of 80$"):
+        next(enumerate_thetas(z3, budget=3 ** 4 - 1))
+    assert built == []
+    stream_and_end(enumerate_thetas(z3, budget=3 ** 4))
+    assert built == [z3]
 
 
 def test_theta_stream_is_deterministic():
