@@ -2,12 +2,18 @@
 
 Exit codes: 0 success; on a SkewtwistError, the exit_code of its class
 (1 axiom violation, 2 format error, 3 enumeration budget exceeded); 2 on an
-I/O error.
+I/O error.  A negative budget, from --budget or SKEWTWIST_BUDGET, exits 2.
+
+`main()` may be called repeatedly in one process: the parser is built once,
+on first use, and holds no per-call state; SKEWTWIST_BUDGET is read on every
+call and fills the budget wherever --budget is not given.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import os
 import sys
 
@@ -196,24 +202,33 @@ def cmd_enumerate(args) -> int:
     raise errors.DocumentError(f"unknown enumeration target: {args.what}")
 
 
+# Every twist entry of a classify report carries the same decomposition.  The
+# entries hold this sentinel instead, which no other value of a report can
+# equal, and the decomposition is encoded once and spliced in for it; compact
+# key-sorted JSON encodes each value independently of its context.
+_DECOMPOSITION = "\0decomposition"
+_DECOMPOSITION_JSON = json.dumps(_DECOMPOSITION)
+
+
 def cmd_classify(args) -> int:
     b1 = _load(args.b1, BraidedGroup, "--b1")
     b2 = _load(args.b2, BraidedGroup, "--b2")
     related = are_twist_related(b1, b2)
     twists = []
+    decomposition = ""
     if related:
         _check_count("twist", count_twists(b1, b2), args.budget)
-        decomposition = {
+        decomposition = canonical_dumps({
             "theta1": twist_to_doc(theta_canonical_twist(b1)),
             "theta2": twist_to_doc(theta_canonical_twist(b2)),
-        }
+        })[:-1]
         for fam, twist in _family_twists(b1, b2):
             twists.append(
                 {
                     "family_maps": [list(m) for m in fam.maps],
                     "anytwist_f_ok": anytwist_f_matches(b1, b2, fam, twist),
                     "twist": twist_to_doc(twist),
-                    "decomposition": decomposition,
+                    "decomposition": _DECOMPOSITION,
                 }
             )
     report = {
@@ -222,7 +237,7 @@ def cmd_classify(args) -> int:
         "count": len(twists),
         "twists": twists,
     }
-    _write(canonical_dumps(report), args.out)
+    _write(canonical_dumps(report).replace(_DECOMPOSITION_JSON, decomposition), args.out)
     return 0
 
 
@@ -250,26 +265,43 @@ def _env_budget() -> int:
     if raw is None:
         return DEFAULT_THETA_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise errors.BadParams(
             f"SKEWTWIST_BUDGET must be an integer, got {raw!r}"
         ) from None
+    if budget < 0:
+        raise errors.BadParams(f"SKEWTWIST_BUDGET must be non-negative, got {raw!r}")
+    return budget
 
 
+def _budget_arg(raw: str) -> int:
+    """The type of --budget: a non-negative integer, else a usage error."""
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {raw!r}")
+    return budget
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    default_budget = _env_budget()
+    """The CLI's parser, built on first use and shared by every main() call.
+    A budget parses to None unless --budget gives it; main fills it in."""
     parser = argparse.ArgumentParser(
         prog="skewtwist",
         description="Verify, twist, enumerate and classify finite YBE solutions and skew braces.",
     )
+    parser.set_defaults(budget=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a named structure")
     p.add_argument("name")
     p.add_argument("params", nargs="*")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_gen, budget=default_budget)
+    p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("verify", help="validate a document")
     p.add_argument("--in", dest="infile", default="-")
@@ -303,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt")
     p.add_argument("--pair")
     p.add_argument("--solution")
-    p.add_argument("--budget", type=int, default=default_budget)
+    p.add_argument("--budget", type=_budget_arg)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_enumerate)
 
@@ -311,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1", required=True)
     p.add_argument("--b2", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_classify, budget=default_budget)
+    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("matched-check", help="validate a matched pair")
     p.add_argument("--in", dest="infile", default="-")
@@ -331,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        budget = _env_budget()  # a bad value exits 2 before argparse runs
         args = build_parser().parse_args(argv)
+        if args.budget is None:
+            args.budget = budget
         return args.fn(args)
     except errors.SkewtwistError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,11 @@
 """CLI contract: document round trips, streaming output, exit codes."""
 
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -291,6 +296,12 @@ def test_classify_honours_the_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SKEWTWIST_BUDGET", "48")
     code, out, err = run(capsys, "classify", "--b1", str(kb), "--b2", str(kb))
     assert code == 0 and json.loads(out)["count"] == 48
+    # the warm parser reads the environment on every call
+    monkeypatch.delenv("SKEWTWIST_BUDGET")
+    assert run(capsys, "classify", "--b1", str(kb), "--b2", str(kb))[0] == 0
+    # an explicit --budget beats it
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "1")
+    assert run(capsys, "enumerate", "twists", "--b1", str(kb), "--b2", str(kb), "--budget", "48")[0] == 0
 
 
 def test_classify_report(tmp_path, capsys):
@@ -411,6 +422,85 @@ def test_non_integer_budget_environment_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SKEWTWIST_BUDGET", "10")
     code, out, err = run(capsys, "enumerate", "thetas", "--pair", str(pair))
     assert code == 3
+    # the environment is checked even where --budget overrides it
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "abc")
+    assert run(capsys, "enumerate", "thetas", "--pair", str(pair), "--budget", "5") == (
+        2, "", "error: SKEWTWIST_BUDGET must be an integer, got 'abc'\n"
+    )
+
+
+def _z4_and_klein_braces(tmp_path):
+    import skewtwist as st
+
+    paths = []
+    for name, group in (("z4", st.cyclic(4)), ("klein", st.klein())):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(canonical_dumps(brace_to_doc(st.trivial_brace(group))))
+    return [str(path) for path in paths]
+
+
+def test_negative_budget_is_a_bad_parameter(tmp_path, capsys, monkeypatch):
+    z4, klein = _z4_and_klein_braces(tmp_path)
+    argv = ["enumerate", "twists", "--b1", z4, "--b2", klein]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: skewtwist enumerate ")
+    assert err.endswith("\nskewtwist enumerate: error: argument --budget: must be non-negative, got '-1'\n")
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "-1")
+    for command in (["gen", "flip", "3"], argv):
+        assert run(capsys, *command) == (2, "", "error: SKEWTWIST_BUDGET must be non-negative, got '-1'\n")
+    # a budget of 0 stays valid: Z4 -> Klein has no twist
+    monkeypatch.setenv("SKEWTWIST_BUDGET", "0")
+    for budget in ([], ["--budget", "0"]):
+        assert run(capsys, *argv, *budget) == (0, '{"count":0,"kind":"report"}\n', "")
+
+
+def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    from skewtwist import cli
+
+    z4, klein = _z4_and_klein_braces(tmp_path)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    assert len(built) == 10  # the top-level parser and its 9 subcommands
+    cli.build_parser.cache_clear()
+    built.clear()
+    assert run(capsys, "gen", "z4-brace")[0] == 0
+    assert run(capsys, "verify", "--in", z4)[0] == 0
+    assert run(capsys, "classify", "--b1", z4, "--b2", klein)[0] == 0
+    assert run(capsys, "enumerate", "twists", "--b1", z4, "--b2", z4)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["theta-apply"])
+    assert len(built) == 10
+
+
+def test_importing_the_cli_builds_no_parser():
+    import skewtwist
+
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    real_init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import skewtwist.cli\n"
+        "print(len(built))\n"
+    )
+    src = str(pathlib.Path(skewtwist.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def _documents_with_a_one():

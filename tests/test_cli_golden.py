@@ -1,5 +1,6 @@
 """Golden CLI bytes: the sha256 of stdout, the exit code and stderr of fixed
-invocations of `gen`, `classify` and `enumerate`.
+invocations of `gen`, `classify` and `enumerate`, and of the argparse surface
+(help, usage and error text).
 
 Each input document is written from the library's own constructors, so the
 digests pin the CLI's output for a fixed input, not the input's encoding.
@@ -11,7 +12,7 @@ import hashlib
 import pytest
 
 from skewtwist.braces import trivial_brace
-from skewtwist.cli import main
+from skewtwist.cli import build_parser, main
 from skewtwist.generators import z4_brace
 from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
 from skewtwist.serialize import brace_to_doc, canonical_dumps, group_to_doc
@@ -96,4 +97,46 @@ def test_cli_bytes_are_unchanged(documents, capsys, monkeypatch, argv, code, err
     got = main([arg.format(**documents) for arg in argv])
     captured = capsys.readouterr()
     assert (got, captured.err) == (code, err)
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert sha256(captured.out) == digest
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+E = sha256("")
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr), at COLUMNS=80.
+SURFACE = [
+    (["--help"], 0, "b89857b2b1ec0261f1af5d2c17b1de909a16c0e8a7a9f19d6c5484bbfae8f94d", E),
+    (["gen", "--help"], 0, "fed81ff68fa905e77d9f9cbca96e1d069c216becd26c83a5bfe7782d006fd8ee", E),
+    (["verify", "--help"], 0, "c173e25573f5e7511d66a58198731367de0804b51dcca18af41de903c71ddda8", E),
+    (["twist", "--help"], 0, "f61e6bd1138286cddc0390c10b20867c93813627af94df216255e99ac7b90415", E),
+    (["compose", "--help"], 0, "2946984f0150b3dd66a627ad225980332f8c0c15b61c9bf214f91473cf7853a7", E),
+    (["invert", "--help"], 0, "d9eb18fb326f0d507f6702fc48c860a563ae120c24e28713d5df737a3fe24a60", E),
+    (["enumerate", "--help"], 0, "1e30f31898868da336d653c31852ae9c7fc655e81db6eb6369efb3014cc2418b", E),
+    (["classify", "--help"], 0, "be84affaa6a6670d5417015742d373ae97cd6d593e660cedbffddf49cd734659", E),
+    (["matched-check", "--help"], 0, "c517175977d218457e75132e391b03b0ef551b658d6c2eb685594f717be87ce9", E),
+    (["theta-apply", "--help"], 0, "f4354bbfdf82b092096aa517f346b0839645d9660481dea3589877bc88a2c542", E),
+    ([], 2, E, "5665ff849e592b8fd4bddebd81f4576cbebc0fca1c808770704df7d851d4f06a"),
+    (["bogus"], 2, E, "d904467f983f36f869f26d4f0efc3182ead0b14b6db84fae01fef65cdb31ad6e"),
+    (["enumerate", "bogus"], 2, E, "4026e7555a8d835e37ed53d1a40ab3eb9e1f293dcac5b620b34e2f926c9cf20c"),
+    (["enumerate", "thetas", "--budget", "x"], 2, E,
+     "e518e1a54a6cb42fdd3c66273982832f7c96fed892151d53fcbb99aaa96b0747"),
+    (["classify", "--b2", "b2.json"], 2, E, "201baf8beec55746005891910d132e6e2b654a961691768e5f337a5c1be565c1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_digest, err_digest", SURFACE,
+                         ids=[" ".join(s[0]) or "(none)" for s in SURFACE])
+def test_argparse_surface_is_unchanged(capsys, monkeypatch, argv, code, out_digest, err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("SKEWTWIST_BUDGET", raising=False)
+    build_parser.cache_clear()
+    for _ in range(2):  # a cold parser, then a warm one
+        try:
+            got = main(list(argv))
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert (got, sha256(captured.out), sha256(captured.err)) == (code, out_digest, err_digest)
