@@ -127,17 +127,15 @@ def braiding_from_brace(dot: FiniteGroup, star_op: FiniteGroup) -> BraidedGroup:
         raise NotABrace("carriers have different sizes")
     if dot.e != star_op.e:
         raise NotABrace("the two operations have different identity elements")
-    n = dot.n
-    sigma = []
+    n, mul, inv = dot.n, dot.mul, dot.inv
+    codes = []
     for x in range(n):
-        sigma_inv_x = tuple(dot.op(dot.inv[x], star_op.op(x, y)) for y in range(n))
+        sigma_inv_x = tuple(mul[inv[x]][star_op.mul[x][y]] for y in range(n))
         if not perm_is_bijective(sigma_inv_x):
             raise NotABrace(f"sigma_{x} is not a bijection")
-        sigma.append(perm_inverse(sigma_inv_x))
-    def build(x, y):
-        a = sigma[x][y]
-        return a, dot.op(dot.op(dot.inv[a], x), y)
-    r = PairMap.from_callable(n, build)
+        # r(x, y) = (a, (a^-1 . x) . y) with a = sigma_x(y)
+        codes += (a * n + mul[mul[inv[a]][x]][y] for y, a in enumerate(perm_inverse(sigma_inv_x)))
+    r = PairMap(n, tuple(codes))
     try:
         return check_braided_group(dot, r)
     except (AxiomFails, NotBijective) as exc:

@@ -83,7 +83,8 @@ def _load(path: str | None, cls, flag: str):
 
 
 def _on_base(base, on_brace, on_solution):
-    """Dispatch on the kind of a --base document: brace or solution."""
+    """Dispatch on a brace or a solution: a --base document, or what gen and
+    twist write."""
     if isinstance(base, BraidedGroup):
         return on_brace(base)
     if isinstance(base, YbeSolution):
@@ -99,14 +100,9 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _to_doc(obj) -> dict:
-    """The document of a brace or a solution, the two results of gen and twist."""
-    return brace_to_doc(obj) if isinstance(obj, BraidedGroup) else solution_to_doc(obj)
-
-
 def cmd_gen(args) -> int:
     obj = gen(args.name, args.params, args.budget)
-    _write(canonical_dumps(_to_doc(obj)), args.out)
+    _write(canonical_dumps(_on_base(obj, brace_to_doc, solution_to_doc)), args.out)
     return 0
 
 
@@ -130,7 +126,7 @@ def cmd_twist(args) -> int:
     base = _load(args.base, object, "--base")
     twist = _load(args.twist, TwistTriple, "--twist")
     result = _on_base(base, lambda b: apply_brace_twist(b, twist), lambda s: apply_twist(s, twist))
-    _write(canonical_dumps(_to_doc(result)), args.out)
+    _write(canonical_dumps(_on_base(result, brace_to_doc, solution_to_doc)), args.out)
     print("ok: twist applied", file=sys.stderr)
     return 0
 
@@ -194,12 +190,9 @@ def cmd_enumerate(args) -> int:
         return _emit_stream(
             (theta_to_doc(t) for t in enumerate_thetas(pair, budget=budget)), args.out
         )
-    if args.what == "brute":
-        sol = _load(args.solution, YbeSolution, "--solution")
-        return _emit_stream(
-            (twist_to_doc(t) for t in brute_force_twists(sol)), args.out
-        )
-    raise errors.DocumentError(f"unknown enumeration target: {args.what}")
+    # "brute": argparse's choices admit no other target.
+    sol = _load(args.solution, YbeSolution, "--solution")
+    return _emit_stream((twist_to_doc(t) for t in brute_force_twists(sol)), args.out)
 
 
 # Every twist entry of a classify report carries the same decomposition.  The

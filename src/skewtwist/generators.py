@@ -47,7 +47,7 @@ def lyubashenko_solution(n: int, sigma: Perm, gamma: Perm) -> YbeSolution:
     """r(x, y) = (sigma(y), gamma(x)); a braid solution iff sigma and gamma commute."""
     if perm_compose(sigma, gamma) != perm_compose(gamma, sigma):
         raise BadParams("sigma and gamma must commute")
-    r = PairMap.from_callable(n, lambda x, y: (sigma[y], gamma[x]))
+    r = PairMap(n, tuple(sigma[y] * n + gamma[x] for x in range(n) for y in range(n)))
     try:
         return check_solution(n, r)
     except BraidFails as exc:

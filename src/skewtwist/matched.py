@@ -11,6 +11,7 @@ skew brace defines on itself (actL = sigma, actR = gamma), Theta(x, y) =
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .braces import BraidedGroup, verify_brace_twist
@@ -53,13 +54,7 @@ class ThetaMap:
         """Theta(x, y) = (e+, x); only meaningful when G- embeds in G+ (the
         brace pair, where the two carriers coincide)."""
         m, ep = p.gminus.n, p.gplus.e
-        t1 = []
-        t2 = []
-        for a in range(m):
-            for b in range(m):
-                t1.append(ep)
-                t2.append(a)
-        return cls(m, p.gplus.n, tuple(t1), tuple(t2))
+        return cls(m, p.gplus.n, (ep,) * (m * m), tuple(a for a in range(m) for _ in range(m)))
 
 
 def check_matched_pair(
@@ -119,15 +114,16 @@ def pair_from_brace(b: BraidedGroup) -> MatchedPair:
     return check_matched_pair(b.group, b.group, act_left, act_right)
 
 
-def _theta_units_ok(p: MatchedPair, theta: ThetaMap) -> tuple[bool, tuple | None]:
+def _theta_unit_failure(p: MatchedPair, theta: ThetaMap) -> tuple[int, int] | None:
+    """The first point at which a unit condition fails, or None."""
     nm, em, ep = p.gminus.n, p.gminus.e, p.gplus.e
     t1, t2 = theta.theta1, theta.theta2
     for a in range(nm):
         if t2[em * nm + a] != ep:
-            return False, (em, a)
+            return em, a
         if t1[a * nm + em] != ep:
-            return False, (a, em)
-    return True, None
+            return a, em
+    return None
 
 
 def _theta_cocycle_failure(p: MatchedPair, theta: ThetaMap):
@@ -169,19 +165,16 @@ def f_theta(p: MatchedPair, theta: ThetaMap) -> PairMap:
 
     Bijectivity is reported by the PairMap itself, not assumed here.
     """
-    actL = p.act_left
-    def fn(g, h):
-        u, v = theta(g, h)
-        return actL[u][g], actL[v][h]
-    return PairMap.from_callable(p.gminus.n, fn)
+    m, actL, t1, t2 = p.gminus.n, p.act_left, theta.theta1, theta.theta2
+    return PairMap(m, tuple(actL[t1[i]][i // m] * m + actL[t2[i]][i % m] for i in range(m * m)))
 
 
 def check_theta(p: MatchedPair, theta: ThetaMap) -> TwistReport:
     """Unit conditions, the three cocycle conditions, and F_Theta bijectivity."""
     if theta.nminus != p.gminus.n or theta.nplus != p.gplus.n:
         raise SizeMismatch("theta table does not match the pair")
-    ok, witness = _theta_units_ok(p, theta)
-    if not ok:
+    witness = _theta_unit_failure(p, theta)
+    if witness is not None:
         return TwistReport(False, "theta-unit", witness)
     failure = _theta_cocycle_failure(p, theta)
     if failure is not None:
@@ -198,22 +191,19 @@ def triple_from_theta(p: MatchedPair, theta: ThetaMap, base: BraidedGroup) -> Tw
         raise InvalidTheta(f"{report.axiom} fails at {report.witness}")
     if base.n != p.gminus.n:
         raise SizeMismatch("base brace carrier must be G-")
-    mm = p.gminus
+    m, mul = p.gminus.n, p.gminus.mul
     actL, actR = p.act_left, p.act_right
-
-    def phi_fn(a, b, c):
-        u, v = theta(a, mm.op(b, c))
-        return actL[u][a], actL[v][b], actL[actR[v][b]][c]
-
-    def psi_fn(a, b, c):
-        u, v = theta(mm.op(a, b), c)
-        return actL[u][a], actL[actR[u][a]][b], actL[v][c]
-
-    triple = TwistTriple(
-        f_theta(p, theta),
-        TripleMap.from_callable(mm.n, phi_fn),
-        TripleMap.from_callable(mm.n, psi_fn),
+    # Phi(a, b, c) = (u |> a, v |> b, (v <| b) |> c) with (u, v) = Theta(a, bc)
+    phi = tuple(
+        (actL[u][a] * m + actL[v][b]) * m + actL[actR[v][b]][c]
+        for a, b, c in product(range(m), repeat=3) for u, v in (theta(a, mul[b][c]),)
     )
+    # Psi(a, b, c) = (u |> a, (u <| a) |> b, v |> c) with (u, v) = Theta(ab, c)
+    psi = tuple(
+        (actL[u][a] * m + actL[actR[u][a]][b]) * m + actL[v][c]
+        for a, b, c in product(range(m), repeat=3) for u, v in (theta(mul[a][b], c),)
+    )
+    triple = TwistTriple(f_theta(p, theta), TripleMap(m, phi), TripleMap(m, psi))
     brace_report = verify_brace_twist(base, triple)
     if not brace_report:
         raise InvalidTheta(
@@ -241,26 +231,31 @@ def _cocycle_watches(p: MatchedPair):
     nm, np_ = p.gminus.n, p.gplus.n
     mmul = p.gminus.mul
     actL, actR = p.act_left, p.act_right
+    # The (C, D) tuple of (a, b, c) is the (A, B) tuple of (b, c), so each
+    # per-g tuple is built once and shared: R[x] = (g <| x)_g, AB[x][y].
+    R = [tuple(actR[g][x] for g in range(np_)) for x in range(nm)]
+    AB = [
+        [tuple(actL[g][x] * nm + actL[r][y] for g, r in enumerate(R[x])) for y in range(nm)]
+        for x in range(nm)
+    ]
     direct = [[] for _ in range(nm * nm)]
     via1 = [[] for _ in range(nm * nm)]
     via2 = [[] for _ in range(nm * nm)]
     for a in range(nm):
         for b in range(nm):
+            ab_g = AB[a][b]
             for c in range(nm):
+                cd_g = AB[b][c]
                 p1 = mmul[a][b] * nm + c
                 p2 = a * nm + mmul[b][c]
-                RA = tuple(actR[g][a] for g in range(np_))
-                RB = tuple(actR[g][b] for g in range(np_))
-                AB = tuple(actL[g][a] * nm + actL[RA[g]][b] for g in range(np_))
-                CD = tuple(actL[g][b] * nm + actL[RB[g]][c] for g in range(np_))
-                inst = (p1, p2, AB, RA, CD, RB)
+                inst = (p1, p2, ab_g, R[a], cd_g, R[b])
                 last = max(p1, p2)
                 direct[last].append(inst)
                 for g in range(np_):
-                    if AB[g] > last:
-                        via1[AB[g]].append((p1, g, inst))
-                    if CD[g] > last:
-                        via2[CD[g]].append((p2, g, inst))
+                    if ab_g[g] > last:
+                        via1[ab_g[g]].append((p1, g, inst))
+                    if cd_g[g] > last:
+                        via2[cd_g[g]].append((p2, g, inst))
     return direct, via1, via2
 
 

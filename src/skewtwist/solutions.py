@@ -187,13 +187,15 @@ def doikou_twist(s: YbeSolution) -> TwistTriple:
     if any(not perm_is_bijective(sig) for sig in s.sigma):
         bad = next(x for x, sig in enumerate(s.sigma) if not perm_is_bijective(sig))
         raise Degenerate(f"sigma_{bad} is not a bijection")
-    sigma, gamma = s.sigma, s.gamma
-    F = PairMap.from_callable(s.n, lambda x, y: (x, sigma[x][y]))
-    Phi = TripleMap.from_callable(
-        s.n, lambda x, y, z: (x, sigma[x][y], sigma[gamma[y][x]][z])
-    )
-    Psi = TripleMap.from_callable(s.n, lambda x, y, z: (x, y, sigma[x][sigma[y][z]]))
-    return TwistTriple(F, Phi, Psi)
+    # Phi = F12 r12^-1 F23 r12 and Psi = s23 F12 s23 F23, s the flip.
+    n = s.n
+    F = tuple(x * n + v for x, row in enumerate(s.sigma) for v in row)
+    F12, F23 = lift_12_table(F, n), lift_23_table(F, n)
+    r12 = lift_12_table(s.r.table, n)
+    s23 = lift_23_table(PairMap.flip(n).table, n)
+    Phi = perm_chain(F12, lift_12_table(perm_inverse(s.r.table), n), F23, r12)
+    Psi = perm_chain(s23, F12, s23, F23)
+    return TwistTriple(PairMap(n, F), TripleMap(n, Phi), TripleMap(n, Psi))
 
 
 def lyubashenko_shape(s: YbeSolution) -> tuple[Perm, Perm]:
@@ -219,25 +221,31 @@ def kappa_twist(s: YbeSolution, kappa: Perm) -> TwistTriple:
         raise NonCommuting("kappa does not commute with sigma")
     if perm_compose(kappa, gamma) != perm_compose(gamma, kappa):
         raise NonCommuting("kappa does not commute with gamma")
-    F = PairMap.from_callable(s.n, lambda x, y: (x, kappa[y]))
-    Phi = TripleMap.from_callable(s.n, lambda x, y, z: (x, kappa[y], kappa[z]))
-    Psi = TripleMap.from_callable(s.n, lambda x, y, z: (x, y, kappa[kappa[z]]))
-    return TwistTriple(F, Phi, Psi)
+    # F = id x kappa, Phi = (kappa x kappa)23 and Psi = (F F)23.
+    n = s.n
+    F = lift_23_table(kappa, n, n)
+    Phi, Psi = lift_23_table(_cross(kappa, 2), n), lift_23_table(perm_compose(F, F), n)
+    return TwistTriple(PairMap(n, F), TripleMap(n, Phi), TripleMap(n, Psi))
 
 
 def conjugate_twist(t: TwistTriple, f: Perm) -> TwistTriple:
     """Transport a twist along a solution isomorphism f: conjugate every table
     by f x f (and f x f x f)."""
-    n = len(f)
-    fi = perm_inverse(f)
-    F2 = PairMap.from_callable(n, lambda x, y: tuple(f[c] for c in t.F(fi[x], fi[y])))
-    Phi2 = TripleMap.from_callable(
-        n, lambda x, y, z: tuple(f[c] for c in t.Phi(fi[x], fi[y], fi[z]))
+    n, fi = len(f), perm_inverse(f)
+    f3, fi3 = _cross(f, 3), _cross(fi, 3)
+    return TwistTriple(
+        PairMap(n, perm_chain(_cross(f, 2), t.F.table, _cross(fi, 2))),
+        TripleMap(n, perm_chain(f3, t.Phi.table, fi3)),
+        TripleMap(n, perm_chain(f3, t.Psi.table, fi3)),
     )
-    Psi2 = TripleMap.from_callable(
-        n, lambda x, y, z: tuple(f[c] for c in t.Psi(fi[x], fi[y], fi[z]))
-    )
-    return TwistTriple(F2, Phi2, Psi2)
+
+
+def _cross(f: Perm, k: int) -> Perm:
+    """f x ... x f (k factors), the map (x1, ..., xk) -> (f(x1), ..., f(xk)) on X^k."""
+    n, out = len(f), f
+    for _ in range(k - 1):
+        out = perm_compose(lift_12_table(out, n), lift_23_table(f, len(out), n))
+    return out
 
 
 def brute_force_twists(s: YbeSolution) -> Iterator[TwistTriple]:

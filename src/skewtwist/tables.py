@@ -2,9 +2,10 @@
 
 Elements of the universe are the integers 0..n-1.  A pair (x, y) is encoded
 as x*n + y and a triple (x, y, z) as x*n^2 + y*n + z, so every map is a
-tuple of encoded outputs and composition is plain indexing.  Building a table
-from a function on points, evaluating it at a point and reading or writing
-its rows all go through one codec per (n, k), _codec.
+tuple of encoded outputs and composition is plain indexing.  Library tables
+are built from codes only: index arithmetic on rows, lifts and gathers, each
+derived table once.  Evaluating a table at a point and reading or writing its
+rows go through one codec per (n, k), _codec.
 
 Every axiom on X^3 is one comparison of two composed tables (first_mismatch);
 lifts to X^3 are slices of a shared pool of ints, so no int is made per entry.
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, permutations, product, starmap
+from itertools import chain, compress, count, permutations, product
 from math import lcm
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotBijective, SizeMismatch
 
@@ -113,13 +114,6 @@ class Table:
     def identity(cls, n: int):
         return cls(n, perm_identity(n ** cls.arity))
 
-    @classmethod
-    def from_callable(cls, n: int, fn: Callable[..., tuple[int, ...]]):
-        """The table of fn, which takes the arity coordinates of a point and
-        returns its image as a tuple."""
-        points, codes = _codec(n, cls.arity)
-        return cls(n, tuple(map(codes.__getitem__, starmap(fn, points))))
-
     def __call__(self, *point: int) -> tuple[int, ...]:
         points, codes = _codec(self.n, self.arity)
         return points[self.table[codes[point]]]
@@ -160,15 +154,15 @@ class TripleMap(Table):
 
 
 def lift_12_table(table: Perm, n: int) -> Perm:
-    """(x, y, z) -> table[x*n + y]*n + z, for a table on X^2 whose values lie
-    below len(table) (pair maps, multiplication tables)."""
+    """table x id: (u, z) -> table[u]*n + z, for a table whose values lie below
+    len(table) (pair maps, multiplication tables, permutations of X)."""
     pool = _ints(len(table) * n)
     return tuple(chain.from_iterable(pool[v * n:v * n + n] for v in table))
 
 
 def lift_23_table(table: Perm, n: int, m: int | None = None) -> Perm:
-    """(x, y, z) -> x*m + table[y*n + z], for a table on X^2 with m values
-    (n^2 by default, as for pair maps)."""
+    """id x table: (x, u) -> x*m + table[u] for x < n, for a table with m values
+    (n^2 by default, as for pair maps; n for a permutation of X)."""
     m = n * n if m is None else m
     pool = _ints(n * m)
     return tuple(chain.from_iterable(perm_compose(pool[x * m:x * m + m], table) for x in range(n)))

@@ -63,6 +63,8 @@ from skewtwist.serialize import (
 )
 from skewtwist.tables import PairMap, TripleMap
 
+from pointwise import table_of
+
 SIG = (1, 0, 2, 3)
 GAM = (0, 1, 3, 2)
 
@@ -71,9 +73,9 @@ def s4_twist() -> TwistTriple:
     """The hand-written twist of the 4-element two-permutation solution."""
     gs = tuple(GAM[SIG[i]] for i in range(4))
     return TwistTriple(
-        PairMap.from_callable(4, lambda x, y: (SIG[x], GAM[y])),
-        TripleMap.from_callable(4, lambda x, y, z: (gs[x], SIG[y], SIG[z])),
-        TripleMap.from_callable(4, lambda x, y, z: (GAM[x], GAM[y], gs[z])),
+        table_of(PairMap, 4, lambda x, y: (SIG[x], GAM[y])),
+        table_of(TripleMap, 4, lambda x, y, z: (gs[x], SIG[y], SIG[z])),
+        table_of(TripleMap, 4, lambda x, y, z: (GAM[x], GAM[y], gs[z])),
     )
 
 
@@ -145,7 +147,7 @@ def test_criterion_1():
     t = s4_twist()
     assert verify_twist(s, t)
     twisted = apply_twist(s, t)
-    expected = PairMap.from_callable(4, lambda x, y: (GAM[y], SIG[x]))
+    expected = table_of(PairMap, 4, lambda x, y: (GAM[y], SIG[x]))
     assert twisted.r == expected
     inverse = invert_twist(t, s)
     assert apply_twist(twisted, inverse).r == s.r

@@ -22,6 +22,8 @@ from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric, z4_radical_g
 from skewtwist.solutions import TwistTriple
 from skewtwist.tables import PairMap, TripleMap
 
+from pointwise import table_of
+
 
 def oracle_braiding_axioms(group, r):
     """Independent pointwise check of the four braiding-operator axioms."""
@@ -88,7 +90,7 @@ def test_check_braided_group_rejects_flip_on_nonabelian():
 
 def test_check_braided_group_rejects_unit_violations():
     g = cyclic(2)
-    r = PairMap.from_callable(2, lambda x, y: (1 - y, 1 - x))
+    r = table_of(PairMap, 2, lambda x, y: (1 - y, 1 - x))
     with pytest.raises(AxiomFails) as exc:
         check_braided_group(g, r)
     assert exc.value.axiom == "brd1"
@@ -177,7 +179,7 @@ def test_phi_reconstruct_roundtrip():
 def test_phi_reconstruct_rejects_bad_phi():
     b = trivial_brace(cyclic(2))
     # a bijective Phi whose (x, y, e) slice has nonzero third component
-    rot = TripleMap.from_callable(2, lambda x, y, z: (x, y, 1 - z))
+    rot = table_of(TripleMap, 2, lambda x, y, z: (x, y, 1 - z))
     with pytest.raises(ShapeMismatch):
         phi_reconstruct(b, rot)
 

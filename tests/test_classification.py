@@ -35,6 +35,8 @@ from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
 from skewtwist.solutions import TwistTriple
 from skewtwist.tables import PairMap, TripleMap, perm_inverse
 
+from pointwise import table_of
+
 
 def oracle_family_count(g, h):
     """Independent count: product over g of |{isos src->tgt fixing g}|,
@@ -200,9 +202,9 @@ def reference_family_twist(fam):
         return beta(x), beta(y), f[q][z]
 
     triple = TwistTriple(
-        PairMap.from_callable(n, F_fn),
-        TripleMap.from_callable(n, Phi_fn),
-        TripleMap.from_callable(n, Psi_fn),
+        table_of(PairMap, n, F_fn),
+        table_of(TripleMap, n, Phi_fn),
+        table_of(TripleMap, n, Psi_fn),
     )
     assert verify_brace_twist(trivial_brace(src), triple)
     return triple
@@ -227,7 +229,7 @@ def relabel(b, p):
     n = b.n
     pi = perm_inverse(p)
     mul = [[p[b.group.op(pi[x], pi[y])] for y in range(n)] for x in range(n)]
-    r = PairMap.from_callable(n, lambda x, y: tuple(p[c] for c in b.r(pi[x], pi[y])))
+    r = table_of(PairMap, n, lambda x, y: tuple(p[c] for c in b.r(pi[x], pi[y])))
     return check_braided_group(FiniteGroup.from_table(mul), r)
 
 
@@ -385,7 +387,7 @@ def closed_form_twist(b1, b2, fam):
         u = fam.maps[p][x]
         return u, m2.op(m2.inv[u], p)
 
-    F = PairMap.from_callable(b1.n, f_fn)
+    F = table_of(PairMap, b1.n, f_fn)
     finv = F.inverse()
 
     def parts(x, y, z):
@@ -401,7 +403,7 @@ def closed_form_twist(b1, b2, fam):
         a, h, w = parts(x, y, z)
         return (*finv(a, h), w)
 
-    return TwistTriple(F, TripleMap.from_callable(b1.n, phi_fn), TripleMap.from_callable(b1.n, psi_fn))
+    return TwistTriple(F, table_of(TripleMap, b1.n, phi_fn), table_of(TripleMap, b1.n, psi_fn))
 
 
 def _s3_opposite():

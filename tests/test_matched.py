@@ -166,6 +166,22 @@ def test_theta_budget_bounds_the_watch_lists(monkeypatch):
     assert built == [z3]
 
 
+@pytest.mark.parametrize("group", [symmetric(3), cyclic(4)], ids=["S3", "Z4"])
+def test_cocycle_watches_share_the_per_g_tuples(group):
+    # An instance (a, b, c) holds its (A, B) and (C, D) tuples, which depend
+    # only on (a, b) and (b, c), and its g <| a and g <| b tuples, which
+    # depend only on a and b: at most |G-|^2 and |G-| distinct objects.
+    p = pair_from_brace(trivial_brace(group))
+    nm = p.gminus.n
+    direct, via1, via2 = matched._cocycle_watches(p)
+    instances = [inst for bucket in direct for inst in bucket]
+    assert len(instances) == nm ** 3
+    watched = {id(inst) for bucket in via1 + via2 for _, _, inst in bucket}
+    assert watched <= {id(inst) for inst in instances}
+    assert len({id(t) for inst in instances for t in (inst[2], inst[4])}) <= nm * nm
+    assert len({id(t) for inst in instances for t in (inst[3], inst[5])}) <= nm
+
+
 def test_theta_stream_is_deterministic():
     p = pair_from_brace(trivial_brace(cyclic(2)))
     first = [(t.theta1, t.theta2) for t in enumerate_thetas(p)]

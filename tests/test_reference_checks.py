@@ -31,6 +31,8 @@ from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
 from skewtwist.solutions import TwistReport, TwistTriple, YbeSolution, check_solution, verify_twist
 from skewtwist.tables import PairMap, TripleMap, perm_inverse, perm_is_bijective
 
+from pointwise import table_of
+
 
 # ---------------------------------------------------------------- references
 
@@ -190,7 +192,7 @@ def ref_phi_reconstruct(b, phi):
     for x, y in itertools.product(range(n), repeat=2):
         if phi(x, y, e)[2] != e:
             raise ShapeMismatch(f"Phi({x},{y},e) has third component {phi(x, y, e)[2]} != e")
-    fbar = PairMap.from_callable(n, lambda x, y: phi(x, y, e)[:2])
+    fbar = table_of(PairMap, n, lambda x, y: phi(x, y, e)[:2])
     if not fbar.is_bijective:
         raise NotBijective("Phi-bar is not a bijection of G^2")
     for x in range(n):
@@ -210,7 +212,7 @@ def ref_phi_reconstruct(b, phi):
         q2, w2 = fbar(q, w)
         return (*fbar_inv(p, q2), w2)
 
-    psi = TripleMap.from_callable(n, psi_fn)
+    psi = table_of(TripleMap, n, psi_fn)
     for x, y, z in itertools.product(range(n), repeat=3):
         p, q, w = psi(x, y, z)
         if (mul[p][q], w) != fbar(mul[x][y], z):
@@ -362,7 +364,7 @@ def test_twists_on_a_foreign_solution_match_reference():
               for b in (z4_brace(), trivial_brace(cyclic(4)))]
     for b in (s3, s3op, z4_brace()):
         t = theta_canonical_twist(b)
-        r23 = lambda m: TripleMap.from_callable(b.n, lambda x, y, z: m(x, *b.r(y, z)))
+        r23 = lambda m: table_of(TripleMap, b.n, lambda x, y, z: m(x, *b.r(y, z)))
         cases.append((b, TwistTriple(t.F, r23(t.Phi), r23(t.Psi))))
     seen = set()
     for b, t in cases:

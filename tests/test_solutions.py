@@ -36,6 +36,8 @@ from skewtwist.solutions import (
 )
 from skewtwist.tables import PairMap, TripleMap, lift_12_table, lift_23_table
 
+from pointwise import table_of
+
 
 def oracle_braid_holds(n, r):
     """Independent pointwise check of r23 r12 r23 = r12 r23 r12."""
@@ -109,14 +111,14 @@ def test_s4_golden_twist():
     sig, gam = (1, 0, 2, 3), (0, 1, 3, 2)
     gs = tuple(gam[sig[i]] for i in range(4))
     t = TwistTriple(
-        PairMap.from_callable(4, lambda x, y: (sig[x], gam[y])),
-        TripleMap.from_callable(4, lambda x, y, z: (gs[x], sig[y], sig[z])),
-        TripleMap.from_callable(4, lambda x, y, z: (gam[x], gam[y], gs[z])),
+        table_of(PairMap, 4, lambda x, y: (sig[x], gam[y])),
+        table_of(TripleMap, 4, lambda x, y, z: (gs[x], sig[y], sig[z])),
+        table_of(TripleMap, 4, lambda x, y, z: (gam[x], gam[y], gs[z])),
     )
     assert verify_twist(s, t)
     assert oracle_twist_holds(s, t)
     twisted = apply_twist(s, t)
-    expected = PairMap.from_callable(4, lambda x, y: (gam[y], sig[x]))
+    expected = table_of(PairMap, 4, lambda x, y: (gam[y], sig[x]))
     assert twisted.r == expected
     back = apply_twist(twisted, invert_twist(t, s))
     assert back.r == s.r
@@ -126,7 +128,7 @@ def test_verify_twist_reports_first_failure():
     s = flip_solution(2)
     bad = TwistTriple(
         PairMap.identity(2),
-        TripleMap.from_callable(2, lambda x, y, z: (1 - x, y, z)),
+        table_of(TripleMap, 2, lambda x, y, z: (1 - x, y, z)),
         TripleMap.identity(2),
     )
     report = verify_twist(s, bad)
@@ -139,7 +141,7 @@ def test_apply_twist_rejects_invalid():
     s = flip_solution(2)
     bad = TwistTriple(
         PairMap.identity(2),
-        TripleMap.from_callable(2, lambda x, y, z: (1 - x, y, z)),
+        table_of(TripleMap, 2, lambda x, y, z: (1 - x, y, z)),
         TripleMap.identity(2),
     )
     with pytest.raises(InvalidTwist):
@@ -236,7 +238,7 @@ def test_conjugate_twist_transports_validity():
     t = doikou_twist(s)
     f = (2, 3, 0, 1)  # any bijection transporting the solution
     fi = tuple(sorted(range(4), key=lambda i: f[i]))
-    moved_r = PairMap.from_callable(4, lambda x, y: tuple(f[c] for c in s.r(fi[x], fi[y])))
+    moved_r = table_of(PairMap, 4, lambda x, y: tuple(f[c] for c in s.r(fi[x], fi[y])))
     moved = check_solution(4, moved_r)
     moved_t = conjugate_twist(t, f)
     assert verify_twist(moved, moved_t)

@@ -25,15 +25,21 @@ def _annotation_strings(tree):
                     yield ast.parse(sub.value, mode="eval")
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names a module imports but never reads, in source order."""
-    tree = ast.parse(source)
+def imported_names(tree) -> list[str]:
+    """The names a module's import statements bind, in source order."""
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [a.asname or a.name.partition(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports but never reads, in source order."""
+    tree = ast.parse(source)
+    imported = imported_names(tree)
     used = {
         n.id
         for root in [tree, *_annotation_strings(tree)]
@@ -58,3 +64,12 @@ def test_unused_import_check_sees_reads_through_attributes_and_annotations():
 def test_no_unused_imports(module):
     # __init__.py is left out: its imports are the package's re-exports.
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_reexport_list_matches_the_imports():
+    # The names __init__.py imports are the package's re-exports; __all__
+    # lists each of them once and nothing else.
+    import skewtwist
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(skewtwist.__all__) == sorted(set(imported_names(tree)))

@@ -25,10 +25,12 @@ from skewtwist.tables import (
     perm_order,
 )
 
+from pointwise import table_of
+
 
 def triple_map(n, fn):
     """A TripleMap from its per-point definition, independent of the kernel."""
-    return TripleMap.from_callable(n, fn)
+    return table_of(TripleMap, n, fn)
 
 
 def lift_12(f):
@@ -82,7 +84,7 @@ def test_pairmap_identity_and_flip():
 
 
 def test_pairmap_from_callable_roundtrip():
-    f = PairMap.from_callable(4, lambda x, y: ((x + y) % 4, y))
+    f = table_of(PairMap, 4, lambda x, y: ((x + y) % 4, y))
     assert f.is_bijective
     g = f.inverse()
     assert compose(f, g) == PairMap.identity(4)
@@ -92,7 +94,7 @@ def test_pairmap_from_callable_roundtrip():
 
 
 def test_noninvertible_pairmap_detected():
-    squash = PairMap.from_callable(2, lambda x, y: (0, y))
+    squash = table_of(PairMap, 2, lambda x, y: (0, y))
     assert not squash.is_bijective
     with pytest.raises(NotBijective):
         squash.inverse()
@@ -112,8 +114,8 @@ def test_size_mismatch_raises():
 def test_lifts_are_homomorphisms():
     # Composition commutes with lifting, checked over a small sample.
     n = 3
-    a = PairMap.from_callable(n, lambda x, y: ((x + y) % n, y))
-    b = PairMap.from_callable(n, lambda x, y: (x, (x + 2 * y) % n))
+    a = table_of(PairMap, n, lambda x, y: ((x + y) % n, y))
+    b = table_of(PairMap, n, lambda x, y: (x, (x + 2 * y) % n))
     for lift in (lift_12, lift_23):
         assert lift(compose(a, b)) == compose(lift(a), lift(b))
         assert lift(PairMap.identity(n)) == TripleMap.identity(n)
@@ -152,7 +154,7 @@ def test_pooled_lifts_share_int_objects():
 
 def test_lift_positions():
     n = 3
-    f = PairMap.from_callable(n, lambda x, y: ((x + 1) % n, (y + 2) % n))
+    f = table_of(PairMap, n, lambda x, y: ((x + 1) % n, (y + 2) % n))
     for x, y, z in itertools.product(range(n), repeat=3):
         assert lift_12(f)(x, y, z) == (*f(x, y), z)
         assert lift_23(f)(x, y, z) == (x, *f(y, z))
@@ -249,5 +251,5 @@ def test_triplemap_order():
     p = (1, 0)
     assert triple_map(2, lambda x, y, z: (p[x], y, z)).order() == 2
     n = 2
-    rot = TripleMap.from_callable(n, lambda x, y, z: (y, z, x))
+    rot = table_of(TripleMap, n, lambda x, y, z: (y, z, x))
     assert rot.order() == 3
