@@ -35,7 +35,7 @@ from .tables import (
     PairMap,
     Perm,
     TripleMap,
-    first_mismatch,
+    first_failure,
     lift_12_table,
     lift_23_table,
     perm_chain,
@@ -89,17 +89,13 @@ def check_braided_group(group: FiniteGroup, r: PairMap) -> BraidedGroup:
         raise NotBijective("r is not a bijection of G^2")
     flat, m12, m23 = _mul_lifts(mul)
     r12, r23 = lift_12_table(t, n), lift_23_table(t, n)
-    # brdOpr1 is r m12 = m23 r12 r23 and brdOpr2 is r m23 = m12 r23 r12; the
-    # earlier failing point wins, brdOpr1 at a shared one.
-    one = first_mismatch(n, (t, m12), (m23, r12, r23))
-    two = first_mismatch(n, (t, m23), (m12, r23, r12))
-    if one is not None and (two is None or one <= two):
-        raise AxiomFails("brdOpr1", one)
-    if two is not None:
-        raise AxiomFails("brdOpr2", two)
-    for i, v in enumerate(t):
-        if flat[v] != flat[i]:
-            raise AxiomFails("brdcomm", divmod(i, n))
+    failure = first_failure(
+        (n, n, n),
+        ("brdOpr1", (t, m12), (m23, r12, r23)),
+        ("brdOpr2", (t, m23), (m12, r23, r12)),
+    ) or first_failure((n, n), ("brdcomm", (flat, t), (flat,)))
+    if failure is not None:
+        raise AxiomFails(*failure)
     try:
         sol = _braided_solution(r, r12, r23)
     except BraidFails as exc:
@@ -160,14 +156,10 @@ def verify_brace_twist(b: BraidedGroup, t: TwistTriple) -> TwistReport:
     for x in range(n):
         if F[e * n + x] != e * n + x or F[x * n + e] != x * n + e:
             return TwistReport(False, "G2", (x,))
-    # G3 is m23 Phi = F m23 and G4 is m12 Psi = F m12; the earlier wins, G3 at a tie.
     _, m12, m23 = _mul_lifts(b.group.mul)
-    g3 = first_mismatch(n, (m23, Phi), (F, m23))
-    g4 = first_mismatch(n, (m12, Psi), (F, m12))
-    if g3 is not None and (g4 is None or g3 <= g4):
-        return TwistReport(False, "G3", g3)
-    if g4 is not None:
-        return TwistReport(False, "G4", g4)
+    failure = first_failure((n, n, n), ("G3", (m23, Phi), (F, m23)), ("G4", (m12, Psi), (F, m12)))
+    if failure is not None:
+        return TwistReport(False, *failure)
     # Consequences of the axioms; checked as a guard against table bugs.
     for x in range(n):
         for y in range(n):
@@ -182,17 +174,17 @@ def verify_brace_twist(b: BraidedGroup, t: TwistTriple) -> TwistReport:
     return TwistReport(True)
 
 
-def _twisted_tables(b: BraidedGroup, t: TwistTriple) -> tuple[MulTable, PairMap]:
-    """The multiplication m . F^-1 and the braiding F r F^-1, unchecked."""
-    n = b.n
+def _twisted_tables(b: BraidedGroup, t: TwistTriple) -> tuple[Perm, PairMap]:
+    """The flat multiplication m . F^-1 and the braiding F r F^-1, unchecked."""
     flat = perm_compose(tuple(chain.from_iterable(b.group.mul)), t.F.inverse().table)
-    return tuple(flat[k:k + n] for k in range(0, n * n, n)), _conjugate(t, b.r)
+    return flat, _conjugate(t, b.r)
 
 
 def _twisted_brace(b: BraidedGroup, t: TwistTriple) -> BraidedGroup:
     """The twisted brace, validated as a braided group; t itself is not checked."""
-    mul, r = _twisted_tables(b, t)
-    return check_braided_group(FiniteGroup.from_table(mul), r)
+    flat, r = _twisted_tables(b, t)
+    rows = (flat[k:k + b.n] for k in range(0, len(flat), b.n))
+    return check_braided_group(FiniteGroup.from_table(rows), r)
 
 
 def apply_brace_twist(b: BraidedGroup, t: TwistTriple) -> BraidedGroup:
@@ -256,26 +248,29 @@ def phi_reconstruct(b: BraidedGroup, phi: TripleMap) -> TwistTriple:
         raise NotBijective("Phi-bar is not a bijection of G^2")
     for x in range(n):
         for y in range(n):
-            if phi(e, x, y) != (e, x, y):
+            code = (e * n + x) * n + y
+            if phi.table[code] != code:
                 raise AxiomFails("Z1", (e, x, y))
-        if fbar(x, e) != (x, e):
+        if fbar.table[x * n + e] != x * n + e:
             raise AxiomFails("Z1", (x, e))
     # Z2: m23 . Phi = Phi-bar . m23, then Z3: m12 . Psi = Phi-bar . m12
+    cube, F, r = (n, n, n), fbar.table, b.r.table
     _, m12, m23 = _mul_lifts(mul)
-    witness = first_mismatch(n, (m23, phi.table), (fbar.table, m23))
-    if witness is not None:
-        raise AxiomFails("Z2", witness)
-    f12_inv = perm_inverse(lift_12_table(fbar.table, n))
-    psi = perm_chain(f12_inv, lift_23_table(fbar.table, n), phi.table)
-    witness = first_mismatch(n, (m12, psi), (fbar.table, m12))
-    if witness is not None:
-        raise AxiomFails("Z3", witness)
-    r12 = lift_12_table(b.r.table, n)
-    if first_mismatch(n, (r12, psi), (psi, r12)) is not None:
-        raise AxiomFails("Z4", None)
-    r23 = lift_23_table(b.r.table, n)
-    if first_mismatch(n, (phi.table, r23), (r23, phi.table)) is not None:
-        raise AxiomFails("T2", None)
+    psi = perm_chain(perm_inverse(lift_12_table(F, n)), lift_23_table(F, n), phi.table)
+    failure = (
+        first_failure(cube, ("Z2", (m23, phi.table), (F, m23)))
+        or first_failure(cube, ("Z3", (m12, psi), (F, m12)))
+    )
+    if failure is not None:
+        raise AxiomFails(*failure)
+    # Z4 then T2, reported without a witness.
+    r12, r23 = lift_12_table(r, n), lift_23_table(r, n)
+    failure = (
+        first_failure(cube, ("Z4", (r12, psi), (psi, r12)))
+        or first_failure(cube, ("T2", (phi.table, r23), (r23, phi.table)))
+    )
+    if failure is not None:
+        raise AxiomFails(failure[0], None)
     triple = TwistTriple(fbar, phi, TripleMap(n, psi))
     report = verify_brace_twist(b, triple)
     if not report:

@@ -24,7 +24,7 @@ from .braces import (
 from .errors import InvalidFamily, InvalidTwist, NotClassifiable, SizeMismatch
 from .groups import FiniteGroup, are_isomorphic, enumerate_isomorphisms
 from .solutions import TwistTriple, _compose, _invert
-from .tables import PairMap, Perm, TripleMap, first_difference, perm_inverse, perm_is_bijective
+from .tables import PairMap, Perm, TripleMap, first_failure, perm_inverse, perm_is_bijective
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,8 @@ def family_from_twist(source: FiniteGroup, target: FiniteGroup, t: TwistTriple) 
     n = source.n
     if t.n != n:
         raise SizeMismatch(f"universe sizes differ: {t.n} vs {n}")
-    maps = []
-    for p in range(n):
-        row = []
-        for z in range(n):
-            q = source.op(source.inv[z], p)
-            row.append(t.F(z, q)[0])
-        maps.append(tuple(row))
+    F, mul, inv = t.F.table, source.mul, source.inv
+    maps = [tuple(F[z * n + mul[inv[z]][p]] // n for z in range(n)) for p in range(n)]
     try:
         fam = make_iso_family(source, target, maps)
     except (InvalidFamily, SizeMismatch) as exc:
@@ -169,20 +164,22 @@ def _family_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[tuple[IsoFami
     is checked: it is verified once on b1 (T1-T3, G1-G4, L1/L2) and checked
     to map b1 onto b2, which decides every emitted twist.
     """
-    if b1.n != b2.n:
+    n = b1.n
+    if n != b2.n:
         return
     theta1 = theta_canonical_twist(b1)
     theta2_inv = _invert(theta_canonical_twist(b2))
+    target = tuple(chain(*b2.group.mul))
     for fam in enumerate_families(b1.star, b2.star):
         twist = _compose(theta2_inv, _compose(_family_triple(fam), theta1))
         verify_brace_twist(b1, twist).require("composite: ")
         mul, r = _twisted_tables(b1, twist)
-        where = first_difference(b1.n, 2, r.table, b2.r.table)
-        if where is not None:
-            raise InvalidTwist(f"composite: braiding differs from the target at {where}")
-        where = first_difference(b1.n, 2, chain(*mul), chain(*b2.group.mul))
-        if where is not None:
-            raise InvalidTwist(f"composite: multiplication differs from the target at {where}")
+        failure = (
+            first_failure((n, n), ("braiding", (r.table,), (b2.r.table,)))
+            or first_failure((n, n), ("multiplication", (mul,), (target,)))
+        )
+        if failure is not None:
+            raise InvalidTwist(f"composite: {failure[0]} differs from the target at {failure[1]}")
         yield fam, twist
 
 
@@ -202,15 +199,12 @@ def anytwist_f_matches(
     """Check the closed form of the F-component of a decomposed twist:
     F(x, y) = (f_p(x), f_p(x)^-1 .2 p) with p = x .1 y, where .1 and .2 are
     the multiplications of b1 and b2."""
-    n = b1.n
-    for x in range(n):
-        for y in range(n):
-            p = b1.group.op(x, y)
-            u = fam.maps[p][x]
-            v = b2.group.op(b2.group.inv[u], p)
-            if t.F(x, y) != (u, v):
-                return False
-    return True
+    n, mul1, mul2, inv2 = b1.n, b1.group.mul, b2.group.mul, b2.group.inv
+    want = tuple(
+        u * n + mul2[inv2[u]][p]
+        for x in range(n) for p in mul1[x] for u in (fam.maps[p][x],)
+    )
+    return t.F.table == want
 
 
 def are_twist_related(b1: BraidedGroup, b2: BraidedGroup) -> bool:

@@ -20,6 +20,7 @@ import sys
 from . import errors
 from .braces import (
     BraidedGroup,
+    _twisted_brace,
     apply_brace_twist,
     compose_brace_twists,
     invert_brace_twist,
@@ -247,7 +248,7 @@ def cmd_theta_apply(args) -> int:
     base = _load(args.base, BraidedGroup, "--base")
     triple = triple_from_theta(pair, theta, base)
     if args.apply:
-        _write(canonical_dumps(brace_to_doc(apply_brace_twist(base, triple))), args.out)
+        _write(canonical_dumps(brace_to_doc(_twisted_brace(base, triple))), args.out)
     else:
         _write(canonical_dumps(twist_to_doc(triple)), args.out)
     return 0

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import AxiomFails, SizeMismatch
-from .tables import Perm, first_mismatch, perm_compose
+from .tables import Perm, first_failure, perm_compose
 
 MulTable = tuple[tuple[int, ...], ...]
 
@@ -46,9 +46,9 @@ class FiniteGroup:
         flat = tuple(itertools.chain.from_iterable(mul))
         ab_c = tuple(itertools.chain.from_iterable(perm_compose(mul, flat)))  # row ab at c
         a_bc = tuple(itertools.chain.from_iterable(perm_compose(row, flat) for row in mul))
-        witness = first_mismatch(n, (ab_c,), (a_bc,))
-        if witness is not None:
-            raise AxiomFails("associativity", witness)
+        failure = first_failure((n, n, n), ("associativity", (ab_c,), (a_bc,)))
+        if failure is not None:
+            raise AxiomFails(*failure)
         return cls(n, mul, e, tuple(inv))
 
     def op(self, a: int, b: int) -> int:

@@ -169,41 +169,48 @@ def f_theta(p: MatchedPair, theta: ThetaMap) -> PairMap:
     return PairMap(m, tuple(actL[t1[i]][i // m] * m + actL[t2[i]][i % m] for i in range(m * m)))
 
 
-def check_theta(p: MatchedPair, theta: ThetaMap) -> TwistReport:
-    """Unit conditions, the three cocycle conditions, and F_Theta bijectivity."""
+def _checked_f_theta(p: MatchedPair, theta: ThetaMap) -> tuple[TwistReport, PairMap | None]:
+    """check_theta's report and F_Theta, or None where a condition failed first."""
     if theta.nminus != p.gminus.n or theta.nplus != p.gplus.n:
         raise SizeMismatch("theta table does not match the pair")
     witness = _theta_unit_failure(p, theta)
     if witness is not None:
-        return TwistReport(False, "theta-unit", witness)
+        return TwistReport(False, "theta-unit", witness), None
     failure = _theta_cocycle_failure(p, theta)
     if failure is not None:
-        return TwistReport(False, *failure)
-    if not f_theta(p, theta).is_bijective:
-        return TwistReport(False, "f-theta-bijective", None)
-    return TwistReport(True)
+        return TwistReport(False, *failure), None
+    F = f_theta(p, theta)
+    if not F.is_bijective:
+        return TwistReport(False, "f-theta-bijective", None), F
+    return TwistReport(True), F
+
+
+def check_theta(p: MatchedPair, theta: ThetaMap) -> TwistReport:
+    """Unit conditions, the three cocycle conditions, and F_Theta bijectivity."""
+    return _checked_f_theta(p, theta)[0]
 
 
 def triple_from_theta(p: MatchedPair, theta: ThetaMap, base: BraidedGroup) -> TwistTriple:
     """The induced twist (F_Theta, Phi_Theta, Psi_Theta) on the base brace."""
-    report = check_theta(p, theta)
+    report, F = _checked_f_theta(p, theta)
     if not report:
         raise InvalidTheta(f"{report.axiom} fails at {report.witness}")
     if base.n != p.gminus.n:
         raise SizeMismatch("base brace carrier must be G-")
     m, mul = p.gminus.n, p.gminus.mul
     actL, actR = p.act_left, p.act_right
+    t1, t2 = theta.theta1, theta.theta2
     # Phi(a, b, c) = (u |> a, v |> b, (v <| b) |> c) with (u, v) = Theta(a, bc)
     phi = tuple(
-        (actL[u][a] * m + actL[v][b]) * m + actL[actR[v][b]][c]
-        for a, b, c in product(range(m), repeat=3) for u, v in (theta(a, mul[b][c]),)
+        (actL[t1[i]][a] * m + actL[t2[i]][b]) * m + actL[actR[t2[i]][b]][c]
+        for a, b, c in product(range(m), repeat=3) for i in (a * m + mul[b][c],)
     )
     # Psi(a, b, c) = (u |> a, (u <| a) |> b, v |> c) with (u, v) = Theta(ab, c)
     psi = tuple(
-        (actL[u][a] * m + actL[actR[u][a]][b]) * m + actL[v][c]
-        for a, b, c in product(range(m), repeat=3) for u, v in (theta(mul[a][b], c),)
+        (actL[t1[i]][a] * m + actL[actR[t1[i]][a]][b]) * m + actL[t2[i]][c]
+        for a, b, c in product(range(m), repeat=3) for i in (mul[a][b] * m + c,)
     )
-    triple = TwistTriple(f_theta(p, theta), TripleMap(m, phi), TripleMap(m, psi))
+    triple = TwistTriple(F, TripleMap(m, phi), TripleMap(m, psi))
     brace_report = verify_brace_twist(base, triple)
     if not brace_report:
         raise InvalidTheta(

@@ -31,7 +31,7 @@ from .tables import (
     Perm,
     TripleMap,
     all_pair_bijections,
-    first_mismatch,
+    first_failure,
     lift_12_table,
     lift_23_table,
     perm_chain,
@@ -95,9 +95,9 @@ def check_solution(n: int, r: PairMap) -> YbeSolution:
 def _braided_solution(r: PairMap, r12: Perm, r23: Perm) -> YbeSolution:
     """check_solution for a bijective r whose lifts r12, r23 are given."""
     n, t = r.n, r.table
-    witness = first_mismatch(n, (r23, r12, r23), (r12, r23, r12))
-    if witness is not None:
-        raise BraidFails(witness)
+    failure = first_failure((n, n, n), ("braid", (r23, r12, r23), (r12, r23, r12)))
+    if failure is not None:
+        raise BraidFails(failure[1])
     sigma = tuple(tuple(v // n for v in t[x * n:x * n + n]) for x in range(n))
     gamma = tuple(tuple(v % n for v in t[y::n]) for y in range(n))
     involutive = perm_compose(t, t) == perm_identity(n * n)
@@ -115,18 +115,16 @@ def verify_twist(s: YbeSolution, t: TwistTriple) -> TwistReport:
         if not table.is_bijective:
             return TwistReport(False, name, None)
     n, F, Phi, Psi, r = s.n, t.F.table, t.Phi.table, t.Psi.table, s.r.table
-    witness = first_mismatch(n, (lift_12_table(F, n), Psi), (lift_23_table(F, n), Phi))
-    if witness is not None:
-        return TwistReport(False, "T1", witness)
-    r23 = lift_23_table(r, n)
-    witness = first_mismatch(n, (Phi, r23), (r23, Phi))
-    if witness is not None:
-        return TwistReport(False, "T2", witness)
-    r12 = lift_12_table(r, n)
-    witness = first_mismatch(n, (Psi, r12), (r12, Psi))
-    if witness is not None:
-        return TwistReport(False, "T3", witness)
-    return TwistReport(True)
+    cube = (n, n, n)
+    # One call per axiom, in order, each lift of r built only when reached.
+    failure = first_failure(cube, ("T1", (lift_12_table(F, n), Psi), (lift_23_table(F, n), Phi)))
+    if failure is None:
+        r23 = lift_23_table(r, n)
+        failure = first_failure(cube, ("T2", (Phi, r23), (r23, Phi)))
+    if failure is None:
+        r12 = lift_12_table(r, n)
+        failure = first_failure(cube, ("T3", (Psi, r12), (r12, Psi)))
+    return TwistReport(True) if failure is None else TwistReport(False, *failure)
 
 
 def _conjugate(t: TwistTriple, r: PairMap) -> PairMap:

@@ -7,8 +7,8 @@ are built from codes only: index arithmetic on rows, lifts and gathers, each
 derived table once.  Evaluating a table at a point and reading or writing its
 rows go through one codec per (n, k), _codec.
 
-Every axiom on X^3 is one comparison of two composed tables (first_mismatch);
-lifts to X^3 are slices of a shared pool of ints, so no int is made per entry.
+Every table axiom is an equation of composed tables decided by one scan,
+first_failure; lifts are slices of a shared pool of ints, no int per entry.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count, permutations, product
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter, ne
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotBijective, SizeMismatch
 
@@ -168,25 +168,29 @@ def lift_23_table(table: Perm, n: int, m: int | None = None) -> Perm:
     return tuple(chain.from_iterable(perm_compose(pool[x * m:x * m + m], table) for x in range(n)))
 
 
-def first_difference(n: int, arity: int, a: Iterable[int], b: Iterable[int]) -> tuple[int, ...] | None:
-    """The least point of X^arity at which the tables a and b differ, or None."""
-    i = next(compress(count(), map(ne, a, b)), None)
-    return None if i is None else _codec(n, arity)[0][i]
-
-
 _BLOCK = 4096  # points per comparison step: amortises its cost, still stops early
 
-
-def first_mismatch(n: int, lhs: Sequence[Perm], rhs: Sequence[Perm]) -> tuple[int, int, int] | None:
-    """The least (x, y, z) at which lhs[0] o lhs[1] o ... and rhs[0] o rhs[1] o ...
-    (maps on X^3) differ, or None.  Both are composed and compared _BLOCK
-    points at a time; only a differing block is searched for the point."""
-    for start in range(0, n ** 3, _BLOCK):
-        a = perm_chain(*lhs[:-1], lhs[-1][start:start + _BLOCK])
-        b = perm_chain(*rhs[:-1], rhs[-1][start:start + _BLOCK])
-        if a != b:  # decoded by hand: a codec of X^3 would keep n^3 tuples alive
-            x, yz = divmod(start + next(compress(count(), map(ne, a, b))), n * n)
-            return (x, *divmod(yz, n))
+def first_failure(
+    shape: tuple[int, ...], *equations: tuple[str, Sequence[Perm], Sequence[Perm]]
+) -> tuple[str, tuple[int, ...]] | None:
+    """(name, point) for the least point of the box range(shape[0]) x ... (coded
+    row-major) at which an equation (name, lhs, rhs) fails, the one listed first
+    at a tie; or None.  Each side is the chain side[0] o side[1] o ... of tables,
+    composed and compared _BLOCK points at a time; only a differing block is
+    searched for the point."""
+    for start in range(0, prod(shape), _BLOCK):
+        hit = None
+        for name, lhs, rhs in equations:
+            a = perm_chain(*lhs[:-1], lhs[-1][start:start + _BLOCK])
+            b = perm_chain(*rhs[:-1], rhs[-1][start:start + _BLOCK])
+            if a != b:
+                i = next(compress(count(), map(ne, a, b)))
+                if hit is None or i < hit[1]:
+                    hit = name, i
+        if hit is not None:
+            # Decoded by shape arithmetic: a codec of X^3 would keep n^3 tuples alive.
+            code = start + hit[1]
+            return hit[0], tuple(code // prod(shape[k + 1:]) % side for k, side in enumerate(shape))
     return None
 
 

@@ -419,19 +419,54 @@ CLOSED_FORM_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", [*REFERENCE_CASES, *CLOSED_FORM_CASES])
-def test_stream_matches_closed_form(name):
-    """Every emitted twist equals the closed form of its family, item by item."""
+def case_braces(name):
+    """(b1, b2, prefix) of a reference case (relabelled) or a closed-form case."""
     if name in REFERENCE_CASES:
         make1, make2, prefix = REFERENCE_CASES[name]
         b1 = make1()
         p = tuple(random.Random(name).sample(range(b1.n), b1.n))
         b1 = relabel(b1, p)
-        b2 = relabel(make2(), p) if make2 else b1
-    else:
-        make1, make2 = CLOSED_FORM_CASES[name]
-        b1, b2, prefix = make1(), make2(), None
+        return b1, relabel(make2(), p) if make2 else b1, prefix
+    make1, make2 = CLOSED_FORM_CASES[name]
+    return make1(), make2(), None
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_CASES, *CLOSED_FORM_CASES])
+def test_stream_matches_closed_form(name):
+    """Every emitted twist equals the closed form of its family, item by item."""
+    b1, b2, prefix = case_braces(name)
     fams = islice(enumerate_families(b1.star, b2.star), prefix)
     got = list(islice(enumerate_brace_twists(b1, b2), prefix))
     assert got == [closed_form_twist(b1, b2, fam) for fam in fams]
     assert len(got) == (0 if name == "Z4->Klein" else prefix or count_twists(b1, b2))
+
+
+def pointwise_anytwist_f_matches(b1, b2, fam, t):
+    """anytwist_f_matches point by point, reading F through PairMap.__call__."""
+    for x in range(b1.n):
+        for y in range(b1.n):
+            p = b1.group.op(x, y)
+            u = fam.maps[p][x]
+            if t.F(x, y) != (u, b2.group.op(b2.group.inv[u], p)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_CASES, *CLOSED_FORM_CASES])
+def test_anytwist_f_matches_agrees_with_pointwise_reference(name):
+    b1, b2, prefix = case_braces(name)
+    pairs = list(islice(classification._family_twists(b1, b2), prefix))
+    assert len(pairs) == (0 if name == "Z4->Klein" else prefix or count_twists(b1, b2))
+    for k, (fam, t) in enumerate(pairs):
+        assert anytwist_f_matches(b1, b2, fam, t)
+        assert pointwise_anytwist_f_matches(b1, b2, fam, t)
+        # The twist with two F entries swapped no longer has the closed form.
+        F = list(t.F.table)
+        j = next(j for j in range(1, len(F)) if F[j] != F[0])
+        F[0], F[j] = F[j], F[0]
+        swapped = dataclasses.replace(t, F=PairMap(t.n, tuple(F)))
+        assert not anytwist_f_matches(b1, b2, fam, swapped)
+        assert not pointwise_anytwist_f_matches(b1, b2, fam, swapped)
+        # Against another emitted family the two agree as well.
+        other = pairs[(k + 1) % len(pairs)][0]
+        assert anytwist_f_matches(b1, b2, other, t) == pointwise_anytwist_f_matches(b1, b2, other, t)

@@ -663,3 +663,75 @@ def test_each_error_class_exits_with_its_code(capsys, monkeypatch, name):
     code, out, err = run(capsys, "gen", "z4-brace")
     assert code == EXIT_CODES[name]  # a class missing from the table fails here
     assert (out, err) == ("", f"error: {exc}\n")
+
+
+def _theta_apply_argv(tmp_path, theta2=None):
+    """theta-apply arguments for the z4-brace self-pair and its canonical Theta,
+    with theta2 replaced when given."""
+    import skewtwist as st
+    from skewtwist.matched import ThetaMap, pair_from_brace
+    from skewtwist.serialize import matched_pair_to_doc, theta_to_doc
+
+    b = st.z4_brace()
+    p = pair_from_brace(b)
+    theta = ThetaMap.canonical(p)
+    if theta2 is not None:
+        theta = ThetaMap(theta.nminus, theta.nplus, theta.theta1, theta2)
+    docs = {"pair": matched_pair_to_doc(p), "theta": theta_to_doc(theta), "base": brace_to_doc(b)}
+    argv = ["theta-apply"]
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_dumps(doc))
+        argv += [f"--{name}", str(path)]
+    return argv, b, p, theta
+
+
+@pytest.mark.parametrize("apply", [False, True])
+def test_theta_apply_builds_f_theta_once(tmp_path, capsys, monkeypatch, apply):
+    from skewtwist import matched
+
+    calls = []
+    build = matched.f_theta
+
+    def counted(p, theta):
+        calls.append(theta)
+        return build(p, theta)
+
+    monkeypatch.setattr(matched, "f_theta", counted)
+    argv, *_ = _theta_apply_argv(tmp_path)
+    code, out, err = run(capsys, *argv, *(["--apply"] if apply else []))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_theta_apply_verifies_the_induced_triple_once(tmp_path, capsys, monkeypatch):
+    import skewtwist as st
+    from skewtwist import braces, matched
+
+    calls = []
+    verify = braces.verify_brace_twist
+
+    def counted(b, t):
+        calls.append(t)
+        return verify(b, t)
+
+    monkeypatch.setattr(braces, "verify_brace_twist", counted)
+    monkeypatch.setattr(matched, "verify_brace_twist", counted)
+    argv, b, p, theta = _theta_apply_argv(tmp_path)
+    code, out, err = run(capsys, *argv, "--apply")
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # The output is the checked application of the induced triple.
+    twisted = st.apply_brace_twist(b, st.triple_from_theta(p, theta, b))
+    assert out == canonical_dumps(brace_to_doc(twisted))
+
+
+def test_theta_apply_refuses_a_theta_failing_a_cocycle_condition(tmp_path, capsys):
+    # Theta_2(1, 0) = 0 instead of 1 breaks theta-2 at (1, 0, 1); the units hold.
+    theta2 = (0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3)
+    argv = _theta_apply_argv(tmp_path, theta2)[0]
+    for extra in ([], ["--apply"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert "theta-2 fails at (1, 0, 1)" in err

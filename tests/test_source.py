@@ -73,3 +73,46 @@ def test_reexport_list_matches_the_imports():
 
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(skewtwist.__all__) == sorted(set(imported_names(tree)))
+
+
+# The idiom that scans two sequences for their first differing index.
+SCAN_IDIOM = {("itertools", "compress"), ("operator", "ne")}
+
+
+def scan_idiom_uses(source: str) -> list[tuple[str, str]]:
+    """The SCAN_IDIOM names a module imports, by `from m import name` or as
+    an attribute of an imported module (`itertools.compress`), in walk order."""
+    tree = ast.parse(source)
+    modules = {
+        a.asname or a.name: a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.module, a.name) for a in node.names if (node.module, a.name) in SCAN_IDIOM]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (modules.get(node.value.id), node.attr) in SCAN_IDIOM:
+                found.append((modules[node.value.id], node.attr))
+    return found
+
+
+def test_scan_idiom_check_sees_both_import_forms():
+    source = (
+        "import itertools\nimport operator as op\nfrom itertools import count\n"
+        "from operator import itemgetter, ne\n"
+        "i = next(itertools.compress(count(), map(op.ne, a, b)))\n"
+    )
+    want = [("itertools", "compress"), ("operator", "ne"), ("operator", "ne")]
+    assert sorted(scan_idiom_uses(source)) == want
+    assert scan_idiom_uses("from itertools import chain\nimport operator\nf = operator.eq\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_tables_scans_for_a_first_difference(module):
+    # tables.first_failure is the one first-failure scan; any other module
+    # that needs a least failing point calls it instead of scanning itself.
+    uses = scan_idiom_uses((PACKAGE / module).read_text(encoding="utf-8"))
+    assert sorted(uses) == (sorted(SCAN_IDIOM) if module == "tables.py" else [])

@@ -1,8 +1,9 @@
 """Encoded pair/triple map tables: the point codec, composition, inversion,
 lifts, and the compose-and-compare kernel (pooled lifts, perm_chain,
-first_mismatch, first_difference)."""
+first_failure)."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -14,8 +15,7 @@ from skewtwist.tables import (
     TripleMap,
     _codec,
     all_pair_bijections,
-    first_difference,
-    first_mismatch,
+    first_failure,
     lift_12_table,
     lift_23_table,
     perm_chain,
@@ -46,18 +46,28 @@ def compose(f, g):
     return type(f)(f.n, perm_compose(f.table, g.table))
 
 
-def pointwise_first_mismatch(n, lhs, rhs):
-    """First (x, y, z) where the composites differ, entry by entry."""
-    def apply(chain, i):
-        for t in reversed(chain):
-            i = t[i]
-        return i
+def apply_chain(chain, i):
+    """chain[0] o chain[1] o ... applied to the code i, entry by entry."""
+    for t in reversed(chain):
+        i = t[i]
+    return i
 
-    for x, y, z in itertools.product(range(n), repeat=3):
-        i = (x * n + y) * n + z
-        if apply(lhs, i) != apply(rhs, i):
-            return (x, y, z)
+
+def pointwise_first_failure(shape, *equations):
+    """(name, point) of the first failing equation, point by point in
+    lexicographic order and equation by equation at each point."""
+    for code, point in enumerate(itertools.product(*map(range, shape))):
+        for name, lhs, rhs in equations:
+            if apply_chain(lhs, code) != apply_chain(rhs, code):
+                return name, point
     return None
+
+
+def moved(table, i):
+    """table with the entry at code i changed, and nothing else."""
+    out = list(table)
+    out[i] = (out[i] + 1) % len(out)
+    return tuple(out)
 
 
 def test_perm_basics():
@@ -182,14 +192,12 @@ def test_decode_helpers():
         assert f(x, y) == divmod(f.table[x * n + y], n)
     assert _rows(f) == [list(divmod(v, n)) for v in f.table]
     assert _rows(g) == [[v // (n * n), v // n % n, v % n] for v in g.table]
-    # Triples are decoded inside first_mismatch: a table that differs from
+    # Triples are decoded inside first_failure: a table that differs from
     # the identity at one point only is reported at exactly that point.
     ident = perm_identity(n ** 3)
     for x, y, z in itertools.product(range(n), repeat=3):
         i = (x * n + y) * n + z
-        moved = list(ident)
-        moved[i] = (i + 1) % n ** 3
-        assert first_mismatch(n, (tuple(moved),), (ident,)) == (x, y, z)
+        assert first_failure((n, n, n), ("id", (moved(ident, i),), (ident,))) == ("id", (x, y, z))
 
 
 def test_perm_compose_and_chain():
@@ -205,36 +213,75 @@ def test_perm_compose_and_chain():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
 def test_first_mismatch_matches_pointwise_scan(n):
-    # n = 17 spans two comparison blocks; the others fit in one.
+    # One equation on X^3; n = 17 spans two comparison blocks, the others fit in one.
     rng = random.Random(n)
     size = n ** 3
+    cube = (n, n, n)
     tables = [tuple(rng.sample(range(size), size)) for _ in range(3)]
     a, b, c = tables
-    assert first_mismatch(n, (a, b, c), (a, b, c)) is None
+    assert first_failure(cube, ("eq", (a, b, c), (a, b, c))) is None
     for lhs, rhs in (((a, b), (b, a)), ((a, b, c), (c, b, a)), ((a,), (b,)), ((a, b), (a, c))):
-        assert first_mismatch(n, lhs, rhs) == pointwise_first_mismatch(n, lhs, rhs)
+        want = pointwise_first_failure(cube, ("eq", lhs, rhs))
+        assert first_failure(cube, ("eq", lhs, rhs)) == want
     # A single differing entry, at the start, in the middle, at the end.
     for i in sorted({0, size // 2, size - 1}) if size > 1 else ():
-        moved = list(c)
-        moved[i] = (c[i] + 1) % size
-        want = pointwise_first_mismatch(n, (a, b, c), (a, b, tuple(moved)))
+        want = pointwise_first_failure(cube, ("eq", (a, b, c), (a, b, moved(c, i))))
         assert want is not None
-        assert first_mismatch(n, (a, b, c), (a, b, tuple(moved))) == want
+        assert first_failure(cube, ("eq", (a, b, c), (a, b, moved(c, i)))) == want
 
 
 def test_first_difference_is_lex_minimal():
     a = PairMap.identity(2)
     b = PairMap.flip(2)
-    assert first_difference(2, 2, a.table, b.table) == (0, 1)
-    assert first_difference(2, 2, a.table, a.table) is None
-    # Any arity, any iterables of codes: the least differing point is reported.
+    assert first_failure((2, 2), ("eq", (a.table,), (b.table,))) == ("eq", (0, 1))
+    assert first_failure((2, 2), ("eq", (a.table,), (a.table,))) is None
+    # Any arity: the least differing point is reported, decoded by the shape.
     n = 3
     ident = perm_identity(n ** 3)
     for i in (0, 13, n ** 3 - 1):
-        moved = list(ident)
-        moved[i] = (i + 1) % n ** 3
-        assert first_difference(n, 3, ident, iter(moved)) == _codec(n, 3)[0][i]
-    assert first_difference(n, 1, (0, 1, 2), (0, 2, 2)) == (1,)
+        got = first_failure((n, n, n), ("eq", (ident,), (moved(ident, i),)))
+        assert got == ("eq", _codec(n, 3)[0][i])
+    assert first_failure((n,), ("eq", ((0, 1, 2),), ((0, 2, 2),))) == ("eq", (1,))
+
+
+SHAPES = [(n,) * k for k in (1, 2, 3) for n in (1, 2, 3, 5, 17)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_first_failure_matches_pointwise_reference(shape):
+    # (17, 17, 17) spans two comparison blocks; every other box fits in one.
+    size = math.prod(shape)
+    rng = random.Random(str(shape))
+    a, b, c = (tuple(rng.randrange(size) for _ in range(size)) for _ in range(3))
+    p = tuple(rng.sample(range(size), size))
+    ident = perm_identity(size)
+
+    def check(*equations):
+        want = pointwise_first_failure(shape, *equations)
+        assert first_failure(shape, *equations) == want
+        return want
+
+    # All equations hold: None.
+    assert check(("ab", (a, b), (a, b)), ("c", (c,), (c,))) is None
+    # One equation, random chains of maps (not necessarily bijective).
+    check(("ab", (a, b), (b, a)))
+    check(("abc", (a, b, c), (c, b, a)))
+    if size == 1:
+        return
+    codes = sorted({0, 1, size // 2, 4095 % size, 4096 % size, size - 1})
+    for i in codes:
+        # One equation failing at exactly one point.
+        assert check(("one", (ident,), (moved(ident, i),)))[0] == "one"
+        # Two equations failing first at the same point: the first listed wins.
+        tie = ("left", (p, ident), (p, moved(ident, i))), ("right", (moved(ident, i),), (ident,))
+        assert check(*tie)[0] == "left"
+        assert check(*tie[::-1])[0] == "right"
+        for j in codes:
+            if j < i:
+                # The second-listed equation fails first (for 17^3, possibly a
+                # block earlier): it is reported.
+                early = ("late", (moved(ident, i),), (ident,)), ("early", (ident,), (moved(ident, j),))
+                assert check(*early)[0] == "early"
 
 
 def test_all_pair_bijections_count():
