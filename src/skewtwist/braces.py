@@ -11,12 +11,23 @@ The derived additive operation x * y = x . sigma_x^-1(y) is again a group,
 so the pair is a skew brace.  A twist of braces adds conditions G1-G4 on
 top of T1-T3; applying it replaces the multiplication by m . F^-1 and the
 braiding by F r F^-1.
+
+brdOpr1/brdOpr2 are decided on the generators of (G, .) and scanned in full
+only to locate a witness.  With r(x, y) = (sigma_x(y), tau_y(x)), brdOpr1 is
+sigma_{xy} = sigma_x sigma_y and tau_z(xy) = tau_{sigma_y z}(x) . tau_z(y),
+and brdOpr2 is sigma_x(yz) = sigma_x(y) . sigma_{tau_y x}(z) and
+tau_{yz}(x) = tau_z(tau_y x).  The y at which brdOpr1 holds for all x, z
+are closed under products, as are the z at which brdOpr2 holds for all x, y:
+expand x(yw) = (xy)w, or y(zw) = (yz)w, through w and then the other factor.
+brd1 puts e among both, so each axiom holds everywhere once it holds with
+each generator in that slot (see groups).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import getitem
 
 from .errors import AxiomFails, BraidFails, NotABrace, NotBijective, ShapeMismatch, SizeMismatch
 from .groups import FiniteGroup, MulTable
@@ -25,6 +36,7 @@ from .solutions import (
     TwistTriple,
     YbeSolution,
     _braided_solution,
+    _components,
     _conjugate,
     _invert,
     compose_twists,
@@ -76,6 +88,46 @@ class BraidedGroup:
         return self.group.mul == self.star.mul
 
 
+def _brdopr_on_generators(
+    group: FiniteGroup, sigma: tuple[Perm, ...], gamma: tuple[Perm, ...]
+) -> bool:
+    """Whether brdOpr1 holds at every (x, a, z) and brdOpr2 at every (x, y, a)
+    for each generator a, read off the components (gamma[y] is tau_y)."""
+    mul = group.mul
+    cols = tuple(zip(*mul))          # cols[w][q] = q . w
+    sigma_at = tuple(zip(*sigma))    # sigma_at[y][x] = sigma_x(y)
+    for a in group.generators:
+        sigma_a, col_a = sigma[a], cols[a]
+        # brdOpr1: sigma_{xa} = sigma_x sigma_a; tau_z(xa) = tau_{sigma_a z}(x) . tau_z(a)
+        if perm_compose(sigma, col_a) != tuple(perm_compose(s, sigma_a) for s in sigma):
+            return False
+        for z, tau_z in enumerate(gamma):
+            if perm_compose(tau_z, col_a) != perm_compose(cols[tau_z[a]], gamma[sigma_a[z]]):
+                return False
+        # brdOpr2: tau_{ya} = tau_a tau_y; sigma_x(ya) = sigma_x(y) . sigma_{tau_y x}(a)
+        for y, tau_y in enumerate(gamma):
+            ya = mul[y][a]
+            if gamma[ya] != perm_compose(gamma[a], tau_y):
+                return False
+            rhs = map(getitem, perm_compose(mul, sigma_at[y]), perm_compose(sigma_at[a], tau_y))
+            if sigma_at[ya] != tuple(rhs):
+                return False
+    return True
+
+
+def _brdopr_failure(mul: MulTable, t: Perm) -> tuple[str, tuple[int, ...]] | None:
+    """The least (x, y, z) at which brdOpr1 or brdOpr2 fails, brdOpr1 first at
+    a tie, by a scan of every point; the n^3 lifts are freed on return."""
+    n = len(mul)
+    _, m12, m23 = _mul_lifts(mul)
+    r12, r23 = lift_12_table(t, n), lift_23_table(t, n)
+    return first_failure(
+        (n, n, n),
+        ("brdOpr1", (t, m12), (m23, r12, r23)),
+        ("brdOpr2", (t, m23), (m12, r23, r12)),
+    )
+
+
 def check_braided_group(group: FiniteGroup, r: PairMap) -> BraidedGroup:
     """Validate the four braiding-operator axioms and build the star group."""
     n = group.n
@@ -87,17 +139,15 @@ def check_braided_group(group: FiniteGroup, r: PairMap) -> BraidedGroup:
             raise AxiomFails("brd1", g)
     if not r.is_bijective:
         raise NotBijective("r is not a bijection of G^2")
-    flat, m12, m23 = _mul_lifts(mul)
-    r12, r23 = lift_12_table(t, n), lift_23_table(t, n)
-    failure = first_failure(
-        (n, n, n),
-        ("brdOpr1", (t, m12), (m23, r12, r23)),
-        ("brdOpr2", (t, m23), (m12, r23, r12)),
-    ) or first_failure((n, n), ("brdcomm", (flat, t), (flat,)))
+    sigma, gamma = _components(r)
+    if not _brdopr_on_generators(group, sigma, gamma):
+        raise AxiomFails(*_brdopr_failure(mul, t))
+    flat = tuple(chain.from_iterable(mul))
+    failure = first_failure((n, n), ("brdcomm", (flat, t), (flat,)))
     if failure is not None:
         raise AxiomFails(*failure)
     try:
-        sol = _braided_solution(r, r12, r23)
+        sol = _braided_solution(r, sigma, gamma)
     except BraidFails as exc:
         raise AxiomFails("braid", exc.witness) from exc
     if not sol.nondegenerate:

@@ -1,15 +1,59 @@
-"""Finite groups as multiplication tables, plus isomorphism search."""
+"""Finite groups as multiplication tables, plus isomorphism search.
+
+A product axiom is decided on a generating sequence and scanned in full only
+to locate a witness.  If the elements a satisfying an axiom in one product
+slot (for all values of the other variables) are closed under products and
+include e, and every generator satisfies it, then so does every element,
+since the closure of {e} under right multiplication by the generators is the
+whole group.  Associativity is decided by Light's test (Clifford-Preston,
+The Algebraic Theory of Semigroups I, section 1.2): if (xa)y = x(ay) and
+(xb)y = x(by) for all x, y, then (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
+= x((ab)y), and e passes once it is a two-sided identity; the argument
+needs no associativity, so it also decides tables that are only loops.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import AxiomFails, SizeMismatch
 from .tables import Perm, first_failure, perm_compose
 
 MulTable = tuple[tuple[int, ...], ...]
+
+
+def generating_sequence(mul: MulTable, e: int) -> tuple[int, ...]:
+    """Generators a_1, a_2, ...: each the least element outside the closure of
+    {e} under right multiplication by the earlier ones, until that closure is
+    everything.  In a group each closure is a subgroup at least twice the size
+    of the one before, so there are at most log2 n generators."""
+    gens = []
+    closure, seen = [e], [False] * len(mul)
+    seen[e] = True
+    for x in range(len(mul)):
+        if seen[x]:
+            continue
+        gens.append(x)
+        for h in closure:  # grows while it is read
+            for a in gens:
+                ha = mul[h][a]
+                if not seen[ha]:
+                    seen[ha] = True
+                    closure.append(ha)
+    return tuple(gens)
+
+
+def _associativity_failure(mul: MulTable) -> tuple[str, tuple[int, ...]] | None:
+    """The least (a, b, c) with (ab)c != a(bc), by a scan of every point; the
+    n^3 tables are freed on return."""
+    n = len(mul)
+    flat = tuple(itertools.chain.from_iterable(mul))
+    ab_c = tuple(itertools.chain.from_iterable(perm_compose(mul, flat)))  # row ab at c
+    a_bc = tuple(itertools.chain.from_iterable(perm_compose(row, flat) for row in mul))
+    return first_failure((n, n, n), ("associativity", (ab_c,), (a_bc,)))
 
 
 @dataclass(frozen=True)
@@ -43,13 +87,21 @@ class FiniteGroup:
                     break
             if inv[a] is None:
                 raise AxiomFails("inverses", a)
-        flat = tuple(itertools.chain.from_iterable(mul))
-        ab_c = tuple(itertools.chain.from_iterable(perm_compose(mul, flat)))  # row ab at c
-        a_bc = tuple(itertools.chain.from_iterable(perm_compose(row, flat) for row in mul))
-        failure = first_failure((n, n, n), ("associativity", (ab_c,), (a_bc,)))
-        if failure is not None:
-            raise AxiomFails(*failure)
-        return cls(n, mul, e, tuple(inv))
+        group = cls(n, mul, e, tuple(inv))
+        # Light's test: row xa is row x o row a, for each generator a.  Only
+        # a failure is scanned for, to locate the least failing triple.
+        if not all(
+            perm_compose(mul, [row[a] for row in mul])
+            == tuple(perm_compose(row, mul[a]) for row in mul)
+            for a in group.generators
+        ):
+            raise AxiomFails(*_associativity_failure(mul))
+        return group
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """generating_sequence of the multiplication table."""
+        return generating_sequence(self.mul, self.e)
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]

@@ -6,19 +6,29 @@ with both multiplications.  A Theta-map G-^2 -> G+^2 satisfying the three
 cocycle conditions induces a twist triple on G-; specialized to the pair a
 skew brace defines on itself (actL = sigma, actR = gamma), Theta(x, y) =
 (e, x) recovers the canonical twist onto the trivial brace.
+
+The four product axioms of a matched pair are decided on generators and
+scanned pointwise only to locate a witness (see groups): left-action-mul and
+right-compat at h = a for each generator a of G+, right-action-mul and
+left-compat at c = a for each generator a of G-.  The h at which the first
+two hold for all g, b are closed under products, as (g h1 h2) |> b and
+(g h1 h2) <| b expand through h2 and then h1, and so are the c at which the
+last two hold for all g, b, as g <| (b c1 c2) and g |> (b c1 c2) expand
+through c2 and then c1; the unit axioms checked first put e among both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import getitem
 from typing import Iterator
 
 from .braces import BraidedGroup, verify_brace_twist
 from .errors import AxiomFails, InvalidTheta, SizeMismatch, TooLarge
 from .groups import FiniteGroup
 from .solutions import TwistReport, TwistTriple
-from .tables import PairMap, TripleMap
+from .tables import PairMap, TripleMap, perm_compose
 
 ActionTable = tuple[tuple[int, ...], ...]
 
@@ -83,6 +93,46 @@ def check_matched_pair(
             raise AxiomFails("minus-unit-fixed", g)
         if act_right[g][em] != g:
             raise AxiomFails("right-action-unit", g)
+    if not _pair_axioms_on_generators(gplus, gminus, act_left, act_right):
+        _locate_pair_failure(gplus, gminus, act_left, act_right)
+    return MatchedPair(gplus, gminus, act_left, act_right)
+
+
+def _pair_axioms_on_generators(gplus, gminus, act_left, act_right) -> bool:
+    """Whether left-action-mul and right-compat hold at every (g, a, b) and
+    right-action-mul and left-compat at every (g, b, a), for each generator a
+    of G+ and of G- respectively; row by row over g."""
+    pmul, mmul = gplus.mul, gminus.mul
+    for a in gplus.generators:
+        left_a, right_a = act_left[a], act_right[a]
+        col_a = [row[a] for row in pmul]  # g -> ga
+        # left-action-mul: (ga) |> b = g |> (a |> b)
+        if perm_compose(act_left, col_a) != tuple(perm_compose(row, left_a) for row in act_left):
+            return False
+        # right-compat: (ga) <| b = (g <| (a |> b)) . (a <| b)
+        for ga, right_g in zip(col_a, act_right):
+            rhs = map(getitem, perm_compose(pmul, perm_compose(right_g, left_a)), right_a)
+            if act_right[ga] != tuple(rhs):
+                return False
+    for a in gminus.generators:
+        col_a = [row[a] for row in mmul]  # b -> ba
+        right_at_a = [row[a] for row in act_right]  # g -> g <| a
+        left_at_a = [row[a] for row in act_left]  # g -> g |> a
+        for left_g, right_g in zip(act_left, act_right):
+            # right-action-mul: g <| (ba) = (g <| b) <| a
+            if perm_compose(right_g, col_a) != perm_compose(right_at_a, right_g):
+                return False
+            # left-compat: g |> (ba) = (g |> b) . ((g <| b) |> a)
+            rhs = map(getitem, perm_compose(mmul, left_g), perm_compose(left_at_a, right_g))
+            if perm_compose(left_g, col_a) != tuple(rhs):
+                return False
+    return True
+
+
+def _locate_pair_failure(gplus, gminus, act_left, act_right) -> None:
+    """Raise at the first point, in check_matched_pair's order, at which a
+    product axiom fails."""
+    np_, nm = gplus.n, gminus.n
     for g in range(np_):
         for h in range(np_):
             for b in range(nm):
@@ -103,7 +153,6 @@ def check_matched_pair(
                 rhs = gminus.op(act_left[g][b], act_left[act_right[g][b]][c])
                 if lhs != rhs:
                     raise AxiomFails("left-compat", (g, b, c))
-    return MatchedPair(gplus, gminus, act_left, act_right)
 
 
 def pair_from_brace(b: BraidedGroup) -> MatchedPair:

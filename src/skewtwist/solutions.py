@@ -89,17 +89,36 @@ def check_solution(n: int, r: PairMap) -> YbeSolution:
         raise SizeMismatch(f"universe sizes differ: {r.n} vs {n}")
     if not r.is_bijective:
         raise NotBijective("r is not a bijection of X^2")
-    return _braided_solution(r, lift_12_table(r.table, n), lift_23_table(r.table, n))
+    return _braided_solution(r, *_components(r))
 
 
-def _braided_solution(r: PairMap, r12: Perm, r23: Perm) -> YbeSolution:
-    """check_solution for a bijective r whose lifts r12, r23 are given."""
+def _components(r: PairMap) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
+    """(sigma, gamma): sigma[x][y] and gamma[y][x] are the first and the
+    second component of r(x, y)."""
     n, t = r.n, r.table
-    failure = first_failure((n, n, n), ("braid", (r23, r12, r23), (r12, r23, r12)))
+    first = tuple(itertools.chain.from_iterable(itertools.repeat(x, n) for x in range(n)))
+    second = perm_identity(n) * n
+    sigma = tuple(perm_compose(first, t[x * n:x * n + n]) for x in range(n))
+    gamma = tuple(perm_compose(second, t[y::n]) for y in range(n))
+    return sigma, gamma
+
+
+def _braid_failure(t: Perm, n: int) -> tuple[str, tuple[int, ...]] | None:
+    """The first failure of r23 r12 r23 = r12 r23 r12 for the pair table t.
+    The n^3 lifts are freed on return, so an exception raised for the
+    failure does not keep them alive through its traceback."""
+    r12, r23 = lift_12_table(t, n), lift_23_table(t, n)
+    return first_failure((n, n, n), ("braid", (r23, r12, r23), (r12, r23, r12)))
+
+
+def _braided_solution(
+    r: PairMap, sigma: tuple[Perm, ...], gamma: tuple[Perm, ...]
+) -> YbeSolution:
+    """check_solution for a bijective r whose components are given."""
+    n, t = r.n, r.table
+    failure = _braid_failure(t, n)
     if failure is not None:
         raise BraidFails(failure[1])
-    sigma = tuple(tuple(v // n for v in t[x * n:x * n + n]) for x in range(n))
-    gamma = tuple(tuple(v % n for v in t[y::n]) for y in range(n))
     involutive = perm_compose(t, t) == perm_identity(n * n)
     nondegenerate = all(perm_is_bijective(s) for s in sigma) and all(
         perm_is_bijective(g) for g in gamma

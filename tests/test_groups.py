@@ -12,6 +12,7 @@ from skewtwist.groups import (
     cyclic,
     direct_product,
     enumerate_isomorphisms,
+    generating_sequence,
     klein,
     symmetric,
     z4_radical_group,
@@ -140,3 +141,53 @@ def test_automorphism_counts():
 def test_isomorphism_stream_is_lexicographic():
     got = list(enumerate_isomorphisms(klein(), klein()))
     assert got == sorted(got)
+
+
+def subgroup_generated(g, gens):
+    """The subgroup generated by gens: e and all products, until nothing new."""
+    out = {g.e}
+    while True:
+        grown = out | {g.op(x, y) for x in out for y in out | set(gens)}
+        if grown == out:
+            return out
+        out = grown
+
+
+def relabelled(g, p):
+    """g with every element x renamed p[x]."""
+    q = [0] * g.n
+    for x, y in enumerate(p):
+        q[y] = x
+    return FiniteGroup.from_table([[p[g.op(q[a], q[b])] for b in range(g.n)] for a in range(g.n)])
+
+
+GENERATED = {
+    **{f"Z{n}": cyclic(n) for n in range(1, 9)},
+    "Klein": klein(),
+    "S3": symmetric(3),
+    "S4": symmetric(4),
+    "Z2xZ4": direct_product(cyclic(2), cyclic(4)),
+    "z4-radical": z4_radical_group(),
+    # Relabellings that move the identity off 0.
+    "S3-moved": relabelled(symmetric(3), (3, 5, 0, 1, 4, 2)),
+    "S4-moved": relabelled(symmetric(4), tuple(range(23, -1, -1))),
+    "Z2xZ4-moved": relabelled(direct_product(cyclic(2), cyclic(4)), (6, 2, 7, 0, 4, 1, 5, 3)),
+    "z4-radical-moved": relabelled(z4_radical_group(), (2, 0, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generating_sequence_is_greedy_and_generates(name):
+    g = GENERATED[name]
+    gens = generating_sequence(g.mul, g.e)
+    assert g.generators == gens
+    for i, a in enumerate(gens):
+        assert a == min(set(range(g.n)) - subgroup_generated(g, gens[:i]))
+    assert subgroup_generated(g, gens) == set(range(g.n))
+    assert 2 ** len(gens) <= g.n
+
+
+def test_generating_sequence_pins():
+    assert [cyclic(n).generators for n in range(1, 6)] == [(), (1,), (1,), (1,), (1,)]
+    assert klein().generators == (1, 2)
+    assert GENERATED["S3-moved"].e == 3

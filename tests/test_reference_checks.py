@@ -1,20 +1,25 @@
 """The n^3 axiom checkers against their former pointwise loops.
 
 Every checker now composes whole tables and compares the composites
-(tables.first_mismatch).  The loops below are the earlier implementations,
-which decoded every entry through PairMap/TripleMap.__call__; they are kept
-here as references, and every verdict must match them exactly: exception
-type and text, axiom and witness, or the whole TwistReport.
+(tables.first_failure), and the group, brdOpr and matched-pair product axioms
+are first decided on generators and scanned only on failure.  The loops below
+are the earlier implementations, which decoded every entry through
+PairMap/TripleMap.__call__ or checked every point of G+^2 x G- and
+G+ x G-^2; they are kept here as references, and every verdict must match
+them exactly: exception type and text, axiom and witness, or the whole
+TwistReport.
 """
 
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from skewtwist import braces, matched
 from skewtwist.braces import (
     BraidedGroup,
     braiding_from_brace,
@@ -28,8 +33,9 @@ from skewtwist.classification import enumerate_brace_twists
 from skewtwist.errors import AxiomFails, BraidFails, NotBijective, ShapeMismatch, SizeMismatch
 from skewtwist.generators import flip_solution, lyubashenko_solution, z4_brace
 from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
+from skewtwist.matched import MatchedPair, check_matched_pair, pair_from_brace
 from skewtwist.solutions import TwistReport, TwistTriple, YbeSolution, check_solution, verify_twist
-from skewtwist.tables import PairMap, TripleMap, perm_inverse, perm_is_bijective
+from skewtwist.tables import PairMap, TripleMap, perm_compose, perm_inverse, perm_is_bijective
 
 from pointwise import table_of
 
@@ -228,6 +234,43 @@ def ref_phi_reconstruct(b, phi):
     if not report:
         raise AxiomFails(report.axiom, report.witness)
     return triple
+
+
+def ref_check_matched_pair(gplus, gminus, act_left, act_right):
+    """check_matched_pair with every product axiom checked at every point."""
+    act_left = tuple(tuple(row) for row in act_left)
+    act_right = tuple(tuple(row) for row in act_right)
+    np_, nm = gplus.n, gminus.n
+    if len(act_left) != np_ or any(len(row) != nm for row in act_left):
+        raise SizeMismatch("act_left must be |G+| x |G-|")
+    if len(act_right) != np_ or any(len(row) != nm for row in act_right):
+        raise SizeMismatch("act_right must be |G+| x |G-|")
+    if any(not (0 <= v < nm) for row in act_left for v in row):
+        raise SizeMismatch("act_left entry out of range")
+    if any(not (0 <= v < np_) for row in act_right for v in row):
+        raise SizeMismatch("act_right entry out of range")
+    ep, em, pmul, mmul = gplus.e, gminus.e, gplus.mul, gminus.mul
+    for b in range(nm):
+        if act_left[ep][b] != b:
+            raise AxiomFails("left-action-unit", b)
+        if act_right[ep][b] != ep:
+            raise AxiomFails("plus-unit-fixed", b)
+    for g in range(np_):
+        if act_left[g][em] != em:
+            raise AxiomFails("minus-unit-fixed", g)
+        if act_right[g][em] != g:
+            raise AxiomFails("right-action-unit", g)
+    for g, h, b in itertools.product(range(np_), range(np_), range(nm)):
+        if act_left[pmul[g][h]][b] != act_left[g][act_left[h][b]]:
+            raise AxiomFails("left-action-mul", (g, h, b))
+        if act_right[pmul[g][h]][b] != pmul[act_right[g][act_left[h][b]]][act_right[h][b]]:
+            raise AxiomFails("right-compat", (g, h, b))
+    for g, b, c in itertools.product(range(np_), range(nm), range(nm)):
+        if act_right[g][mmul[b][c]] != act_right[act_right[g][b]][c]:
+            raise AxiomFails("right-action-mul", (g, b, c))
+        if act_left[g][mmul[b][c]] != mmul[act_left[g][b]][act_left[act_right[g][b]][c]]:
+            raise AxiomFails("left-compat", (g, b, c))
+    return MatchedPair(gplus, gminus, act_left, act_right)
 
 
 # ------------------------------------------------------------------ helpers
@@ -464,3 +507,182 @@ def test_random_swaps_match_reference(name, target, data):
     else:
         bad = dataclasses.replace(t, **{target: type(getattr(t, target))(n, table)})
         assert verify_brace_twist(b, bad) == ref_verify_brace_twist(b, bad)
+
+
+# An order-5 loop: a Latin square with identity 0 in which every element is
+# its own two-sided inverse.  No group of order 5 has that, so it is not
+# associative, and single swaps of group tables almost never give a loop.
+LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+
+
+def test_non_associative_loop_matches_reference():
+    assert all(sorted(row) == sorted(col) == list(range(5)) for row, col in zip(LOOP5, zip(*LOOP5)))
+    witnesses = set()
+    for p in itertools.permutations(range(5)):
+        q = perm_inverse(p)
+        mul = [[p[LOOP5[q[a]][q[b]]] for b in range(5)] for a in range(5)]
+        got = outcome(FiniteGroup.from_table, mul)
+        assert got == outcome(ref_from_table, mul)
+        assert got[2] == "associativity"
+        witnesses.add(got[3])
+    assert len(witnesses) > 1
+    # Z2 x LOOP5 with (z, l) labelled 2l + z: the first generator, 1 = (1, 0),
+    # is central and associates with everything, so only a later generator
+    # fails Light's test.
+    mul = [[2 * LOOP5[a // 2][b // 2] + (a ^ b) % 2 for b in range(10)] for a in range(10)]
+    got = outcome(FiniteGroup.from_table, mul)
+    assert got[2] == "associativity"
+    assert got == outcome(ref_from_table, mul)
+
+
+# Automorphisms of the Klein group (xor on 0..3): ALPHA swaps 1 and 2, BETA
+# cycles 1 -> 2 -> 3 -> 1.  Each table g -> HALF_HOMS[k][g] satisfies
+# f(gh) = f(g) f(h) for h in the subgroup {0, k} only, so an axiom that asks
+# for it holds at one generator of Klein, (1, 2), and fails at the other.
+ALPHA, BETA = (0, 2, 1, 3), (0, 2, 3, 1)
+HALF_HOMS = {
+    1: ((0, 1, 2, 3), ALPHA, BETA, perm_compose(BETA, ALPHA)),
+    2: ((0, 1, 2, 3), BETA, ALPHA, perm_compose(BETA, ALPHA)),
+}
+
+
+@pytest.mark.parametrize("k", sorted(HALF_HOMS))
+def test_brdopr_failing_at_one_generator_matches_reference(k):
+    # r(x, y) = (f_x(y), x) fails brdOpr1 only at y outside {0, k}, and
+    # r(x, y) = (y, f_y^-1(x)) fails brdOpr2 only at z outside {0, k}.
+    f, group = HALF_HOMS[k], klein()
+    inv = [perm_inverse(m) for m in f]
+    for r, axiom in ((table_of(PairMap, 4, lambda x, y: (f[x][y], x)), "brdOpr1"),
+                     (table_of(PairMap, 4, lambda x, y: (y, inv[y][x])), "brdOpr2")):
+        got = outcome(check_braided_group, group, r)
+        assert got[2] == axiom
+        assert got == outcome(ref_check_braided_group, group, r)
+
+
+def test_brdopr_failing_in_one_component_matches_reference():
+    # On Z4, with p swapping 1 and 2, which is no automorphism of Z4:
+    # r(x, y) = (p^x(y), x) fails only sigma_x(yz) = sigma_x(y) . sigma_x(z)
+    # (brdOpr2), and r(x, y) = (y, p^y(x)) only tau_z(xy) = tau_z(x) . tau_z(y)
+    # (brdOpr1).
+    powers = ((0, 1, 2, 3), (0, 2, 1, 3)) * 2
+    for r, axiom in ((table_of(PairMap, 4, lambda x, y: (powers[x][y], x)), "brdOpr2"),
+                     (table_of(PairMap, 4, lambda x, y: (y, powers[y][x])), "brdOpr1")):
+        got = outcome(check_braided_group, cyclic(4), r)
+        assert got[2] == axiom
+        assert got == outcome(ref_check_braided_group, cyclic(4), r)
+
+
+@pytest.mark.parametrize("k", sorted(HALF_HOMS))
+def test_pair_axioms_failing_at_one_generator_match_reference(k):
+    # Klein acting on Klein through f from the left (left-action-mul fails
+    # only at h outside {0, k}), or through b -> f_b^-1 from the right
+    # (right-action-mul fails only at c outside {0, k}); the other action
+    # is trivial.
+    f, group = HALF_HOMS[k], klein()
+    trivial_left, trivial_right = [tuple(range(4))] * 4, [(g,) * 4 for g in range(4)]
+    on_the_right = [tuple(perm_inverse(f[b])[g] for b in range(4)) for g in range(4)]
+    for left, right, axiom in ((f, trivial_right, "left-action-mul"),
+                               (trivial_left, on_the_right, "right-action-mul")):
+        got = outcome(check_matched_pair, group, group, left, right)
+        assert got[2] == axiom
+        assert got == outcome(ref_check_matched_pair, group, group, left, right)
+
+
+PAIRS = {name: pair_from_brace(SMALL_BRACES[name]) for name in ("S3", "Klein", "z4-brace")}
+
+
+def pair_tables(name):
+    p = PAIRS[name]
+    return p.gplus, p.gminus, p.act_left, p.act_right
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=hs.sampled_from(sorted(PAIRS)), target=hs.sampled_from([2, 3]), data=hs.data())
+def test_matched_pair_swaps_match_reference(name, target, data):
+    args = list(pair_tables(name))
+    flat = [v for row in args[target] for v in row]
+    i = data.draw(hs.integers(0, len(flat) - 1))
+    j = data.draw(hs.integers(0, len(flat) - 1))
+    flat[i], flat[j] = flat[j], flat[i]
+    args[target] = rows(flat, args[0].n)
+    assert outcome(check_matched_pair, *args) == outcome(ref_check_matched_pair, *args)
+
+
+def test_matched_pair_cases_match_reference():
+    # Swapped entries of the S4 self-pair and of two pairs of groups of
+    # different orders: Z2 acting on Z3 by inversion from the left (with the
+    # trivial right action), and from the right.
+    rng = random.Random(11)
+    s4 = pair_from_brace(trivial_brace(symmetric(4)))
+    z2, z3, negate = cyclic(2), cyclic(3), (0, 2, 1)
+    cases = [(s4.gplus, s4.gminus, s4.act_left, s4.act_right),
+             (z2, z3, [(0, 1, 2), negate], [(0, 0, 0), (1, 1, 1)]),
+             (z3, z2, [(0, 1)] * 3, [(g, negate[g]) for g in range(3)])]
+    for gplus, gminus, left, right in list(cases):
+        for _ in range(12):
+            which = rng.randrange(2)
+            table = (left, right)[which]
+            flat = swapped(rng, [v for row in table for v in row])
+            bad = [flat[k:k + gminus.n] for k in range(0, len(flat), gminus.n)]
+            cases.append((gplus, gminus, *((bad, right) if which == 0 else (left, bad))))
+    # Actions that are not by automorphisms: Z2 swapping 1 and 2 in Z4 from
+    # the left (left-compat) and from the right (right-compat), and Z3
+    # acting on Z3 from the right through negation for both 1 and 2
+    # (right-action-mul).
+    swap12 = (0, 2, 1, 3)
+    cases += [(z2, cyclic(4), [(0, 1, 2, 3), swap12], [(0,) * 4, (1,) * 4]),
+              (cyclic(4), z2, [(0, 1)] * 4, [(g, swap12[g]) for g in range(4)]),
+              (z3, z3, [(0, 1, 2)] * 3, [(g, negate[g], negate[g]) for g in range(3)])]
+    seen = set()
+    for args in cases:
+        got = outcome(check_matched_pair, *args)
+        assert got == outcome(ref_check_matched_pair, *args)
+        seen.add(got[0] if got[0] == "ok" else got[2])
+    assert {"ok", "left-action-mul", "right-compat", "right-action-mul", "left-compat"} <= seen, seen
+
+
+def spied(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = Counter()
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_valid_structures_are_decided_without_a_scan(monkeypatch):
+    # A valid S4 brace and its self-pair never reach the locating scans; a
+    # corrupted copy of each runs its scan exactly once, and the witness is
+    # the reference's.
+    b = trivial_brace(symmetric(4))
+    p = pair_from_brace(b)
+    lifts = spied(monkeypatch, braces, "_mul_lifts")
+    locate = spied(monkeypatch, matched, "_locate_pair_failure")
+    assert check_braided_group(b.group, b.r) == b
+    assert check_matched_pair(b.group, b.group, p.act_left, p.act_right) == p
+    assert lifts["_mul_lifts"] == locate["_locate_pair_failure"] == 0
+
+    n, t = b.n, list(b.r.table)
+    t[1 * n + 2], t[1 * n + 3] = t[1 * n + 3], t[1 * n + 2]  # away from e's row and column
+    r = PairMap(n, tuple(t))
+    got = outcome(check_braided_group, b.group, r)
+    assert got[2] in ("brdOpr1", "brdOpr2")
+    assert got == outcome(ref_check_braided_group, b.group, r)
+    assert lifts["_mul_lifts"] == 1
+
+    right = [list(row) for row in p.act_right]
+    x, y = next((x, y) for x in range(1, n) for y in range(x + 1, n) if right[1][x] != right[1][y])
+    right[1][x], right[1][y] = right[1][y], right[1][x]  # away from the unit row and column
+    got = outcome(check_matched_pair, b.group, b.group, p.act_left, right)
+    assert got[0] is AxiomFails
+    assert got == outcome(ref_check_matched_pair, b.group, b.group, p.act_left, right)
+    assert locate["_locate_pair_failure"] == 1
