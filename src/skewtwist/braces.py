@@ -21,6 +21,19 @@ are closed under products, as are the z at which brdOpr2 holds for all x, y:
 expand x(yw) = (xy)w, or y(zw) = (yz)w, through w and then the other factor.
 brd1 puts e among both, so each axiom holds everywhere once it holds with
 each generator in that slot (see groups).
+
+The braid relation is not scanned: a braiding operator satisfies it
+(Lu-Yan-Zhu, Duke Math. J. 2000).  At (x, y, z), with a = sigma_x(y),
+b = tau_y(x), c = sigma_y(z) and d = tau_z(y), r12 r23 r12 gives
+(sigma_a sigma_b(z), tau_{sigma_b z}(a), tau_z(b)) and r23 r12 r23 gives
+(sigma_x(c), sigma_{tau_c x}(d), tau_d tau_c(x)).  The first components
+agree, as sigma_a sigma_b = sigma_{ab} (brdOpr1), ab = xy (brdcomm) and
+sigma_{xy} = sigma_x sigma_y; the third agree, as tau_d tau_c = tau_{cd}
+(brdOpr2), cd = yz (brdcomm) and tau_{yz} = tau_z tau_y.  Multiplied out
+with brdcomm, the three components of either side give xyz, so the middle
+components agree by cancellation.  brd1 gives sigma_e = tau_e = id, so
+sigma_x sigma_{x^-1} = sigma_{x^-1} sigma_x = id and likewise for tau: r is
+non-degenerate.
 """
 
 from __future__ import annotations
@@ -29,16 +42,16 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
 
-from .errors import AxiomFails, BraidFails, NotABrace, NotBijective, ShapeMismatch, SizeMismatch
+from .errors import AxiomFails, NotABrace, NotBijective, ShapeMismatch, SizeMismatch
 from .groups import FiniteGroup, MulTable
 from .solutions import (
     TwistReport,
     TwistTriple,
     YbeSolution,
-    _braided_solution,
     _components,
     _conjugate,
     _invert,
+    _solution,
     compose_twists,
     doikou_twist,
     verify_twist,
@@ -59,7 +72,8 @@ from .tables import (
 
 def _mul_lifts(mul: MulTable) -> tuple[Perm, Perm, Perm]:
     """The flat m and its lifts m12(x, y, z) = (xy, z), m23(x, y, z) = (x, yz);
-    built per call and never kept, as each lift holds n^3 entries."""
+    never cached, as each lift holds n^3 entries: a twist stream holds one
+    set while it runs (classification._family_twists)."""
     n = len(mul)
     flat = tuple(chain.from_iterable(mul))
     return flat, lift_12_table(flat, n), lift_23_table(flat, n, n)
@@ -129,7 +143,8 @@ def _brdopr_failure(mul: MulTable, t: Perm) -> tuple[str, tuple[int, ...]] | Non
 
 
 def check_braided_group(group: FiniteGroup, r: PairMap) -> BraidedGroup:
-    """Validate the four braiding-operator axioms and build the star group."""
+    """Validate the four braiding-operator axioms and build the star group;
+    the braid relation and non-degeneracy follow from them."""
     n = group.n
     if r.n != n:
         raise SizeMismatch(f"universe sizes differ: {r.n} vs {n}")
@@ -146,12 +161,8 @@ def check_braided_group(group: FiniteGroup, r: PairMap) -> BraidedGroup:
     failure = first_failure((n, n), ("brdcomm", (flat, t), (flat,)))
     if failure is not None:
         raise AxiomFails(*failure)
-    try:
-        sol = _braided_solution(r, sigma, gamma)
-    except BraidFails as exc:
-        raise AxiomFails("braid", exc.witness) from exc
-    if not sol.nondegenerate:
-        raise AxiomFails("non-degenerate", None)
+    # The braid relation and non-degeneracy follow (module docstring).
+    sol = _solution(r, sigma, gamma)
     sigma_inv = [perm_inverse(row) for row in sol.sigma]
     star_table = [[mul[x][sigma_inv[x][y]] for y in range(n)] for x in range(n)]
     try:
@@ -195,6 +206,15 @@ def trivial_brace(group: FiniteGroup) -> BraidedGroup:
 
 def verify_brace_twist(b: BraidedGroup, t: TwistTriple) -> TwistReport:
     """Check T1-T3, then G1-G4, then the L1/L2 consequences, first failure wins."""
+    return _brace_twist_report(b, t, None)
+
+
+def _brace_twist_report(
+    b: BraidedGroup, t: TwistTriple, lifts: tuple[Perm, Perm, Perm] | None
+) -> TwistReport:
+    """verify_brace_twist with _mul_lifts(b.group.mul) given, so that a stream
+    of twists on one base builds them once; None builds them if G3/G4 are
+    reached."""
     base = verify_twist(b.solution, t)
     if not base:
         return base
@@ -206,7 +226,7 @@ def verify_brace_twist(b: BraidedGroup, t: TwistTriple) -> TwistReport:
     for x in range(n):
         if F[e * n + x] != e * n + x or F[x * n + e] != x * n + e:
             return TwistReport(False, "G2", (x,))
-    _, m12, m23 = _mul_lifts(b.group.mul)
+    _, m12, m23 = lifts or _mul_lifts(b.group.mul)
     failure = first_failure((n, n, n), ("G3", (m23, Phi), (F, m23)), ("G4", (m12, Psi), (F, m12)))
     if failure is not None:
         return TwistReport(False, *failure)

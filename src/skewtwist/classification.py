@@ -16,6 +16,8 @@ from typing import Iterator
 
 from .braces import (
     BraidedGroup,
+    _brace_twist_report,
+    _mul_lifts,
     _twisted_tables,
     theta_canonical_twist,
     trivial_brace,
@@ -170,9 +172,10 @@ def _family_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[tuple[IsoFami
     theta1 = theta_canonical_twist(b1)
     theta2_inv = _invert(theta_canonical_twist(b2))
     target = tuple(chain(*b2.group.mul))
+    lifts = _mul_lifts(b1.group.mul)
     for fam in enumerate_families(b1.star, b2.star):
         twist = _compose(theta2_inv, _compose(_family_triple(fam), theta1))
-        verify_brace_twist(b1, twist).require("composite: ")
+        _brace_twist_report(b1, twist, lifts).require("composite: ")
         mul, r = _twisted_tables(b1, twist)
         failure = (
             first_failure((n, n), ("braiding", (r.table,), (b2.r.table,)))

@@ -5,11 +5,11 @@ from __future__ import annotations
 import re
 
 from .braces import BraidedGroup, braiding_from_brace, trivial_brace
-from .errors import BadParams, BraidFails, TooLarge, UnknownGenerator
+from .errors import BadParams, NotBijective, TooLarge, UnknownGenerator
 from .groups import cyclic, klein, symmetric, z4_radical_group
 from .matched import DEFAULT_THETA_BUDGET
-from .solutions import YbeSolution, check_solution
-from .tables import PairMap, Perm, perm_compose
+from .solutions import YbeSolution, _components, _solution
+from .tables import PairMap, Perm, perm_compose, perm_identity
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -44,14 +44,18 @@ def parse_cycles(text: str, n: int) -> Perm:
 
 
 def lyubashenko_solution(n: int, sigma: Perm, gamma: Perm) -> YbeSolution:
-    """r(x, y) = (sigma(y), gamma(x)); a braid solution iff sigma and gamma commute."""
+    """r(x, y) = (sigma(y), gamma(x)); a braid solution iff sigma and gamma commute.
+
+    At (x, y, z), r12 r23 r12 gives (sigma sigma z, gamma sigma y, gamma gamma x)
+    and r23 r12 r23 gives (sigma sigma z, sigma gamma y, gamma gamma x), so the
+    commute check decides the braid relation and no scan is run.
+    """
     if perm_compose(sigma, gamma) != perm_compose(gamma, sigma):
         raise BadParams("sigma and gamma must commute")
     r = PairMap(n, tuple(sigma[y] * n + gamma[x] for x in range(n) for y in range(n)))
-    try:
-        return check_solution(n, r)
-    except BraidFails as exc:
-        raise BadParams(f"not a braid solution: {exc}") from exc
+    if not r.is_bijective:
+        raise NotBijective("r is not a bijection of X^2")
+    return _solution(r, *_components(r))
 
 
 def s4_solution() -> YbeSolution:
@@ -60,7 +64,8 @@ def s4_solution() -> YbeSolution:
 
 
 def flip_solution(n: int) -> YbeSolution:
-    return check_solution(n, PairMap.flip(n))
+    """r(x, y) = (y, x): the Lyubashenko solution with sigma = gamma = id."""
+    return lyubashenko_solution(n, perm_identity(n), perm_identity(n))
 
 
 def z4_brace() -> BraidedGroup:

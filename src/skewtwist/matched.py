@@ -188,19 +188,23 @@ def _theta_cocycle_failure(p: MatchedPair, theta: ThetaMap):
     """
     nm = p.gminus.n
     mmul, pmul = p.gminus.mul, p.gplus.mul
-    actL, actR = p.act_left, p.act_right
     t1, t2 = theta.theta1, theta.theta2
+    L = tuple(zip(*p.act_left))     # L[x][g] = g |> x
+    R = tuple(zip(*p.act_right))    # R[x][g] = g <| x
+    cols = tuple(zip(*pmul))        # cols[g][q] = q . g
     for a in range(nm):
+        La, Ra, row_a = L[a], R[a], a * nm
         for b in range(nm):
+            Lb, Rb, mul_b = L[b], R[b], mmul[b]
             ab = mmul[a][b] * nm
             for c in range(nm):
                 p1 = ab + c                  # (ab, c)
-                p2 = a * nm + mmul[b][c]     # (a, bc)
+                p2 = row_a + mul_b[c]        # (a, bc)
                 g1, g2 = t1[p1], t2[p2]
-                ra, rb = actR[g1][a], actR[g2][b]
-                AB = actL[g1][a] * nm + actL[ra][b]
-                CD = actL[g2][b] * nm + actL[rb][c]
-                if pmul[t1[AB]][g1] != t1[p2]:
+                ra, rb = Ra[g1], Rb[g2]
+                AB = La[g1] * nm + Lb[ra]
+                CD = Lb[g2] * nm + L[c][rb]
+                if cols[g1][t1[AB]] != t1[p2]:
                     return "theta-1", (a, b, c)
                 if pmul[t2[AB]][ra] != pmul[t1[CD]][g2]:
                     return "theta-2", (a, b, c)

@@ -8,6 +8,12 @@ A twist is a triple (F, Phi, Psi) of bijections satisfying
     T3:  Psi . r12  =  r12 . Psi
 
 and conjugating r by F produces a new solution F r F^-1.
+
+check_solution scans the braid relation at every point of X^3, as
+B r23 = r12 B with B = r23 r12 built once for both sides.  Braiding
+operators and Lyubashenko solutions satisfy it by their own axioms, so
+check_braided_group and generators.lyubashenko_solution build the
+YbeSolution without the scan (see braces and generators).
 """
 
 from __future__ import annotations
@@ -89,7 +95,10 @@ def check_solution(n: int, r: PairMap) -> YbeSolution:
         raise SizeMismatch(f"universe sizes differ: {r.n} vs {n}")
     if not r.is_bijective:
         raise NotBijective("r is not a bijection of X^2")
-    return _braided_solution(r, *_components(r))
+    failure = _braid_failure(r.table, n)
+    if failure is not None:
+        raise BraidFails(failure[1])
+    return _solution(r, *_components(r))
 
 
 def _components(r: PairMap) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
@@ -104,21 +113,19 @@ def _components(r: PairMap) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
 
 
 def _braid_failure(t: Perm, n: int) -> tuple[str, tuple[int, ...]] | None:
-    """The first failure of r23 r12 r23 = r12 r23 r12 for the pair table t.
-    The n^3 lifts are freed on return, so an exception raised for the
-    failure does not keep them alive through its traceback."""
+    """The first failure of r23 r12 r23 = r12 r23 r12 for the pair table t,
+    compared as B r23 = r12 B with the shared B = r23 r12.  The n^3 tables
+    are freed on return, so an exception raised for the failure does not
+    keep them alive through its traceback."""
     r12, r23 = lift_12_table(t, n), lift_23_table(t, n)
-    return first_failure((n, n, n), ("braid", (r23, r12, r23), (r12, r23, r12)))
+    B = perm_compose(r23, r12)
+    return first_failure((n, n, n), ("braid", (B, r23), (r12, B)))
 
 
-def _braided_solution(
-    r: PairMap, sigma: tuple[Perm, ...], gamma: tuple[Perm, ...]
-) -> YbeSolution:
-    """check_solution for a bijective r whose components are given."""
+def _solution(r: PairMap, sigma: tuple[Perm, ...], gamma: tuple[Perm, ...]) -> YbeSolution:
+    """The YbeSolution of a bijective r that satisfies the braid relation,
+    with its components given."""
     n, t = r.n, r.table
-    failure = _braid_failure(t, n)
-    if failure is not None:
-        raise BraidFails(failure[1])
     involutive = perm_compose(t, t) == perm_identity(n * n)
     nondegenerate = all(perm_is_bijective(s) for s in sigma) and all(
         perm_is_bijective(g) for g in gamma

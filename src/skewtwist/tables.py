@@ -8,14 +8,15 @@ derived table once.  Evaluating a table at a point and reading or writing its
 rows go through one codec per (n, k), _codec.
 
 Every table axiom is an equation of composed tables decided by one scan,
-first_failure; lifts are slices of a shared pool of ints, no int per entry.
+first_failure; lifts are slices and gathers of a shared pool of ints, no int
+per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, permutations, product
+from itertools import chain, compress, count, permutations, product, repeat
 from math import lcm, prod
 from operator import itemgetter, ne
 from typing import Iterator, Sequence
@@ -153,19 +154,27 @@ class TripleMap(Table):
     arity = 3
 
 
+@lru_cache(maxsize=32)
+def _row_blocks(n: int, rows: int) -> tuple[Perm, ...]:
+    """The blocks pool[v*n:v*n+n] for v < rows, which the lifts gather from;
+    shared between callers, so read only."""
+    pool = _ints(rows * n)
+    return tuple(pool[v * n:v * n + n] for v in range(rows))
+
+
 def lift_12_table(table: Perm, n: int) -> Perm:
     """table x id: (u, z) -> table[u]*n + z, for a table whose values lie below
-    len(table) (pair maps, multiplication tables, permutations of X)."""
-    pool = _ints(len(table) * n)
-    return tuple(chain.from_iterable(pool[v * n:v * n + n] for v in table))
+    len(table) (pair maps, multiplication tables, permutations of X); one
+    gather of row blocks, flattened."""
+    return tuple(chain.from_iterable(perm_compose(_row_blocks(n, len(table)), table)))
 
 
 def lift_23_table(table: Perm, n: int, m: int | None = None) -> Perm:
     """id x table: (x, u) -> x*m + table[u] for x < n, for a table with m values
-    (n^2 by default, as for pair maps; n for a permutation of X)."""
+    (n^2 by default, as for pair maps; n for a permutation of X); a gather of
+    table from each of n row blocks, flattened."""
     m = n * n if m is None else m
-    pool = _ints(n * m)
-    return tuple(chain.from_iterable(perm_compose(pool[x * m:x * m + m], table) for x in range(n)))
+    return tuple(chain.from_iterable(map(perm_compose, _row_blocks(m, n), repeat(table))))
 
 
 _BLOCK = 4096  # points per comparison step: amortises its cost, still stops early

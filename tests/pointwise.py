@@ -1,7 +1,7 @@
 """Tables built point by point, for tests: the pointwise definitions that the
 library's code-built tables are compared with."""
 
-from itertools import product
+from itertools import chain, product
 
 
 def table_of(cls, n, fn):
@@ -18,3 +18,17 @@ def table_of(cls, n, fn):
         return out
 
     return cls(n, tuple(code(fn(*point)) for point in product(range(n), repeat=k)))
+
+
+def lift_12_reference(table, n):
+    """table x id, (u, z) -> table[u]*n + z, as the generator of row slices
+    that lift_12_table used to be."""
+    ints = tuple(range(len(table) * n))
+    return tuple(chain.from_iterable(ints[v * n:v * n + n] for v in table))
+
+
+def lift_23_reference(table, n, m=None):
+    """id x table, (x, u) -> x*m + table[u] for x < n, entry by entry; m is
+    the number of values of table (n^2 by default)."""
+    m = n * n if m is None else m
+    return tuple(x * m + table[u] for x in range(n) for u in range(len(table)))

@@ -4,7 +4,10 @@ from the two operations, and brace twists."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from skewtwist import braces, solutions
 from skewtwist.braces import (
     apply_brace_twist,
     braiding_from_brace,
@@ -18,9 +21,9 @@ from skewtwist.braces import (
 )
 from skewtwist.errors import AxiomFails, InvalidTwist, NotABrace, ShapeMismatch
 from skewtwist.generators import z4_brace
-from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric, z4_radical_group
-from skewtwist.solutions import TwistTriple
-from skewtwist.tables import PairMap, TripleMap
+from skewtwist.groups import FiniteGroup, cyclic, direct_product, klein, symmetric, z4_radical_group
+from skewtwist.solutions import TwistTriple, _braid_failure
+from skewtwist.tables import PairMap, TripleMap, perm_is_bijective
 
 from pointwise import table_of
 
@@ -196,3 +199,70 @@ def test_from_table_star_is_group():
     flip = PairMap.flip(3)
     b = check_braided_group(g, flip)
     assert FiniteGroup.from_table(b.star.mul).mul == g.mul
+
+
+def braid_implied(group, r):
+    """Whether r is a bijective braiding operator on group; if it is, assert
+    what check_braided_group takes from that without a scan: the braid
+    relation holds and every sigma_x and tau_y is a bijection."""
+    if not (r.is_bijective and oracle_braiding_axioms(group, r)):
+        return False
+    n = group.n
+    assert _braid_failure(r.table, n) is None
+    for x in range(n):
+        assert perm_is_bijective(tuple(r(x, y)[0] for y in range(n)))
+        assert perm_is_bijective(tuple(r(y, x)[1] for y in range(n)))
+    return True
+
+
+def test_braid_relation_follows_on_every_z3_braiding():
+    # brd1 fixes r on the codes of (e, g) and (g, e); the bijections that
+    # respect it permute the other four codes among themselves.
+    g = cyclic(3)
+    free = [x * 3 + y for x in (1, 2) for y in (1, 2)]
+    passed = 0
+    for images in itertools.permutations(free):
+        table = list(PairMap.flip(3).table)
+        for code, image in zip(free, images):
+            table[code] = image
+        passed += braid_implied(g, PairMap(3, tuple(table)))
+    assert passed == 1  # only the flip
+
+
+IMPLICATION_BRACES = {
+    "Klein": lambda: trivial_brace(klein()),
+    "Z4": lambda: trivial_brace(cyclic(4)),
+    "z4-brace": z4_brace,
+    "S3": lambda: trivial_brace(symmetric(3)),
+    "Z2xZ4": lambda: trivial_brace(direct_product(cyclic(2), cyclic(4))),
+    "Z8": lambda: trivial_brace(cyclic(8)),
+}
+IMPLICATION_CASES = {name: make() for name, make in IMPLICATION_BRACES.items()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=hs.sampled_from(sorted(IMPLICATION_CASES)), data=hs.data())
+def test_braid_relation_follows_on_swapped_braidings(name, data):
+    b = IMPLICATION_CASES[name]
+    table = list(b.r.table)
+    i = data.draw(hs.integers(0, len(table) - 1))
+    j = data.draw(hs.integers(0, len(table) - 1))
+    table[i], table[j] = table[j], table[i]
+    r = PairMap(b.n, tuple(table))
+    holds = braid_implied(b.group, r)  # asserts the implication where it applies
+    assert holds or r != b.r
+
+
+def test_valid_brace_check_builds_no_cube_table(monkeypatch):
+    # A valid S4 braiding is decided on generators and by brdcomm: no braid
+    # scan and no lift to G^3.
+    b = trivial_brace(symmetric(4))
+
+    def forbidden(*args):
+        raise AssertionError("an n^3 table was built")
+    monkeypatch.setattr(solutions, "_braid_failure", forbidden)
+    for module in (braces, solutions):
+        monkeypatch.setattr(module, "lift_12_table", forbidden)
+        monkeypatch.setattr(module, "lift_23_table", forbidden)
+    assert check_braided_group(b.group, b.r) == b
+    assert b.solution.nondegenerate

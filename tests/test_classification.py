@@ -279,19 +279,38 @@ def test_emitted_twists_get_their_final_check(monkeypatch):
 
 
 def test_each_twist_is_verified_once(monkeypatch):
+    # Every brace-twist check, verify_brace_twist's and the stream's with its
+    # shared multiplication lifts, runs through braces._brace_twist_report.
     calls = []
-    verify = braces.verify_brace_twist
+    report = braces._brace_twist_report
 
-    def counted(b, t):
+    def counted(b, t, lifts):
         calls.append(t)
-        return verify(b, t)
+        return report(b, t, lifts)
 
-    monkeypatch.setattr(braces, "verify_brace_twist", counted)
-    monkeypatch.setattr(classification, "verify_brace_twist", counted)
+    monkeypatch.setattr(braces, "_brace_twist_report", counted)
+    monkeypatch.setattr(classification, "_brace_twist_report", counted)
     b = trivial_brace(klein())
     assert len(list(enumerate_brace_twists(b, b))) == 48
     # one check per emitted twist; the canonical twists are not checked apart
     assert len(calls) == 48
+
+
+@pytest.mark.parametrize("group, count", [(klein(), 48), (symmetric(3), 432)], ids=["Klein", "S3"])
+def test_stream_builds_the_multiplication_lifts_once(monkeypatch, group, count):
+    # The stream hands one set of m, m12, m23 to every twist it verifies.
+    b = trivial_brace(group)
+    built = []
+    lifts = braces._mul_lifts
+
+    def counted(mul):
+        built.append(mul)
+        return lifts(mul)
+
+    monkeypatch.setattr(braces, "_mul_lifts", counted)
+    monkeypatch.setattr(classification, "_mul_lifts", counted)
+    assert sum(1 for _ in enumerate_brace_twists(b, b)) == count
+    assert built == [b.group.mul]
 
 
 def test_emitted_twists_must_reach_the_target(monkeypatch):

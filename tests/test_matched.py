@@ -378,11 +378,12 @@ def test_check_theta_witnesses_on_swapped_entries():
 
 def test_check_theta_witnesses_on_random_tables():
     # Random tables meeting the unit conditions reach the cocycle checks with
-    # non-identity values; S3 is non-abelian, so operand order matters.
+    # non-identity values; S3 is non-abelian, so operand order matters, and
+    # Z2 acting on Z3 by inversion has |G+| != |G-|.
     rng = random.Random(5)
     seen = set()
-    for brace in (trivial_brace(symmetric(3)), z4_brace()):
-        p = pair_from_brace(brace)
+    inversion = check_matched_pair(cyclic(2), cyclic(3), [(0, 1, 2), (0, 2, 1)], [(0,) * 3, (1,) * 3])
+    for p in (pair_from_brace(trivial_brace(symmetric(3))), pair_from_brace(z4_brace()), inversion):
         nm, em, ep = p.gminus.n, p.gminus.e, p.gplus.e
         for _ in range(200):
             t1 = [rng.randrange(p.gplus.n) for _ in range(nm * nm)]

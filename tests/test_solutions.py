@@ -11,6 +11,7 @@ import pytest
 
 import skewtwist
 from skewtwist.errors import (
+    BadParams,
     BraidFails,
     Degenerate,
     InvalidTwist,
@@ -34,7 +35,7 @@ from skewtwist.solutions import (
     lyubashenko_shape,
     verify_twist,
 )
-from skewtwist.tables import PairMap, TripleMap, lift_12_table, lift_23_table
+from skewtwist.tables import PairMap, TripleMap, lift_12_table, lift_23_table, perm_compose
 
 from pointwise import table_of
 
@@ -198,6 +199,22 @@ def test_kappa_twist_on_s4():
         kappa_twist(s, (0, 2, 1, 3))
     with pytest.raises(NotBijective):
         kappa_twist(s, (0, 0, 1, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_check_solution_accepts_exactly_the_commuting_lyubashenko_pairs(n):
+    # lyubashenko_solution decides the braid relation by the commute check
+    # alone; the scan in check_solution must agree on every pair.
+    perms = list(itertools.permutations(range(n)))
+    for sigma, gamma in itertools.product(perms, repeat=2):
+        r = PairMap(n, tuple(sigma[y] * n + gamma[x] for x in range(n) for y in range(n)))
+        if perm_compose(sigma, gamma) == perm_compose(gamma, sigma):
+            assert lyubashenko_solution(n, sigma, gamma) == check_solution(n, r)
+        else:
+            with pytest.raises(BraidFails):
+                check_solution(n, r)
+            with pytest.raises(BadParams):
+                lyubashenko_solution(n, sigma, gamma)
 
 
 def test_lyubashenko_shape_rejects_flip():

@@ -1,6 +1,7 @@
 """Static checks on the package source, run with the standard library only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +117,34 @@ def test_only_tables_scans_for_a_first_difference(module):
     # that needs a least failing point calls it instead of scanning itself.
     uses = scan_idiom_uses((PACKAGE / module).read_text(encoding="utf-8"))
     assert sorted(uses) == (sorted(SCAN_IDIOM) if module == "tables.py" else [])
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The top-level modules a module imports that are neither the package
+    (relative imports and skewtwist) nor in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots = [a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.partition(".")[0]]
+        else:
+            continue
+        found += [m for m in roots if m != "skewtwist" and m not in sys.stdlib_module_names]
+    return found
+
+
+def test_foreign_import_check_sees_third_party_modules():
+    source = (
+        "from __future__ import annotations\nimport os, numpy as np\n"
+        "from . import tables\nfrom .errors import BadParams\nfrom skewtwist import cli\n"
+        "from sympy.core import S\nimport hypothesis.strategies\n"
+    )
+    assert foreign_imports(source) == ["numpy", "sympy", "hypothesis"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_imports_only_itself_and_the_standard_library(module):
+    # numpy, sympy and hypothesis are for the tests; the library runs on the
+    # standard library alone.
+    assert foreign_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

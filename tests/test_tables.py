@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from skewtwist import tables
 from skewtwist.errors import NotBijective, SizeMismatch
 from skewtwist.serialize import _rows
 from skewtwist.tables import (
@@ -25,7 +26,7 @@ from skewtwist.tables import (
     perm_order,
 )
 
-from pointwise import table_of
+from pointwise import lift_12_reference, lift_23_reference, table_of
 
 
 def triple_map(n, fn):
@@ -160,6 +161,60 @@ def test_pooled_lifts_share_int_objects():
         for v in table:
             assert seen.setdefault(v, v) is v
     assert perm_identity(n ** 3)[300] is seen[300]
+
+
+def lift_cases(rng, n):
+    """(table, m) for lift_23_table's value count m: random and bijective pair
+    maps, a flat multiplication-like table and a permutation of X."""
+    nn = n * n
+    return [
+        (tuple(rng.randrange(nn) for _ in range(nn)), nn),
+        (tuple(rng.sample(range(nn), nn)), nn),
+        (tuple(rng.randrange(n) for _ in range(nn)), n),
+        (tuple(rng.sample(range(n), n)), n),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lifts_match_pointwise_references(n):
+    rng = random.Random(100 + n)
+    for table, m in lift_cases(rng, n):
+        assert lift_12_table(table, n) == lift_12_reference(table, n)
+        assert lift_23_table(table, n, m) == lift_23_reference(table, n, m)
+
+
+def test_lifts_of_single_entry_tables():
+    # At n = 1 every table has one entry, which a one-index gather returns
+    # as the entry itself rather than as a 1-tuple.
+    for table in ((0,), perm_identity(1)):
+        assert lift_12_table(table, 1) == lift_12_reference(table, 1) == (0,)
+        assert lift_23_table(table, 1) == lift_23_reference(table, 1) == (0,)
+        assert lift_23_table(table, 1, 1) == (0,)
+    assert lift_12(PairMap.identity(1)) == TripleMap.identity(1)
+
+
+@pytest.fixture
+def short_pool(monkeypatch):
+    """A pool cut back to 5 ints and no cached row blocks, restored after the
+    test, so the next lift has to grow the pool."""
+    monkeypatch.setattr(tables, "_POOL", tables._POOL[:5])
+    tables._row_blocks.cache_clear()
+    yield
+    tables._row_blocks.cache_clear()
+
+
+def test_lifts_grow_the_pool(short_pool):
+    rng = random.Random(9)
+    n = 7  # n^3 > 256, so identity is not the small-int cache's
+    for table, m in lift_cases(rng, n):
+        start = len(tables._POOL)
+        got12, got23 = lift_12_table(table, n), lift_23_table(table, n, m)
+        assert got12 == lift_12_reference(table, n)
+        assert got23 == lift_23_reference(table, n, m)
+        assert len(tables._POOL) >= max(start, len(table) * n)
+        # The grown pool keeps the ints it had, and the lifts hold its objects.
+        pool = tables._POOL
+        assert all(pool[v] is v for v in got12) and all(pool[v] is v for v in got23)
 
 
 def test_lift_positions():
