@@ -163,8 +163,8 @@ def _family_twists(b1: BraidedGroup, b2: BraidedGroup) -> Iterator[tuple[IsoFami
 
     The twist of a family f is Theta2^-1 . T_f . Theta1, built with the
     unchecked groupoid core, canonical twists included.  Only the composite
-    is checked: it is verified once on b1 (T1-T3, G1-G4, L1/L2) and checked
-    to map b1 onto b2, which decides every emitted twist.
+    is checked: it is verified once on b1 (T1-T3, G1-G4; L1/L2 follow, see
+    braces) and checked to map b1 onto b2, which decides every emitted twist.
     """
     n = b1.n
     if n != b2.n:

@@ -212,9 +212,11 @@ def load_document(doc: dict):
 
 
 def parse_document(text: str) -> dict:
+    # ValueError covers JSONDecodeError and an integer too long to convert;
+    # RecursionError, a document nested too deeply.
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")

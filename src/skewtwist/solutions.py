@@ -14,6 +14,14 @@ B r23 = r12 B with B = r23 r12 built once for both sides.  Braiding
 operators and Lyubashenko solutions satisfy it by their own axioms, so
 check_braided_group and generators.lyubashenko_solution build the
 YbeSolution without the scan (see braces and generators).
+
+Nor is the braid relation of a twisted solution F r F^-1 scanned: it follows
+from the twist axioms.  Let J = F12 Psi = F23 Phi (T1).  T3 gives
+J r12 J^-1 = F12 Psi r12 Psi^-1 F12^-1 = F12 r12 F12^-1, and T2 gives
+J r23 J^-1 = F23 r23 F23^-1.  Conjugating r23 r12 r23 = r12 r23 r12 by J
+therefore gives the braid relation of F r F^-1.  So apply_twist and
+compose_twists build the twisted solution unscanned (_twisted_solution)
+once verify_twist has passed.
 """
 
 from __future__ import annotations
@@ -158,10 +166,18 @@ def _conjugate(t: TwistTriple, r: PairMap) -> PairMap:
     return PairMap(r.n, perm_chain(t.F.table, r.table, t.F.inverse().table))
 
 
+def _twisted_solution(t: TwistTriple, r: PairMap) -> YbeSolution:
+    """The solution F r F^-1 of a twist t that satisfies T1-T3 on r; its braid
+    relation follows from them (module docstring), so it is not scanned."""
+    twisted = _conjugate(t, r)
+    return _solution(twisted, *_components(twisted))
+
+
 def apply_twist(s: YbeSolution, t: TwistTriple) -> YbeSolution:
-    """The twisted solution F r F^-1, revalidated against the braid equation."""
+    """The twisted solution F r F^-1.  t is verified on s once; the braid
+    relation of the result follows from T1-T3 and is not scanned."""
     verify_twist(s, t).require()
-    return check_solution(s.n, _conjugate(t, s.r))
+    return _twisted_solution(t, s.r)
 
 
 def _compose(outer: TwistTriple, inner: TwistTriple) -> TwistTriple:
@@ -186,11 +202,13 @@ def _invert(t: TwistTriple) -> TwistTriple:
 def compose_twists(outer: TwistTriple, inner: TwistTriple, s: YbeSolution) -> TwistTriple:
     """Groupoid composition: inner twists s, outer twists the result.
 
-    inner is verified on s and outer on the twisted solution, once each; the
-    composite is (G F, F23^-1 phi F23 Phi, F12^-1 psi F12 Psi).
+    inner is verified on s and outer on the twisted solution F r F^-1, once
+    each; that solution is not scanned for the braid relation, which T1-T3 of
+    inner imply.  The composite is (G F, F23^-1 phi F23 Phi, F12^-1 psi F12 Psi),
+    and its T1-T3 follow from those of inner and outer (see braces).
     """
     verify_twist(s, inner).require("inner twist: ")
-    mid = check_solution(s.n, _conjugate(inner, s.r))
+    mid = _twisted_solution(inner, s.r)
     verify_twist(mid, outer).require("outer twist: ")
     return _compose(outer, inner)
 

@@ -154,6 +154,9 @@ class TripleMap(Table):
     arity = 3
 
 
+_CACHED_BLOCK_ENTRIES = 32 ** 3  # the lifts of universes up to n = 32
+
+
 @lru_cache(maxsize=32)
 def _row_blocks(n: int, rows: int) -> tuple[Perm, ...]:
     """The blocks pool[v*n:v*n+n] for v < rows, which the lifts gather from;
@@ -162,11 +165,19 @@ def _row_blocks(n: int, rows: int) -> tuple[Perm, ...]:
     return tuple(pool[v * n:v * n + n] for v in range(rows))
 
 
+def _blocks(n: int, rows: int) -> tuple[Perm, ...]:
+    """_row_blocks, cached only up to _CACHED_BLOCK_ENTRIES entries, so that
+    the blocks of a larger lift are freed with it."""
+    if rows * n > _CACHED_BLOCK_ENTRIES:
+        return _row_blocks.__wrapped__(n, rows)
+    return _row_blocks(n, rows)
+
+
 def lift_12_table(table: Perm, n: int) -> Perm:
     """table x id: (u, z) -> table[u]*n + z, for a table whose values lie below
     len(table) (pair maps, multiplication tables, permutations of X); one
     gather of row blocks, flattened."""
-    return tuple(chain.from_iterable(perm_compose(_row_blocks(n, len(table)), table)))
+    return tuple(chain.from_iterable(perm_compose(_blocks(n, len(table)), table)))
 
 
 def lift_23_table(table: Perm, n: int, m: int | None = None) -> Perm:
@@ -174,7 +185,7 @@ def lift_23_table(table: Perm, n: int, m: int | None = None) -> Perm:
     (n^2 by default, as for pair maps; n for a permutation of X); a gather of
     table from each of n row blocks, flattened."""
     m = n * n if m is None else m
-    return tuple(chain.from_iterable(map(perm_compose, _row_blocks(m, n), repeat(table))))
+    return tuple(chain.from_iterable(map(perm_compose, _blocks(m, n), repeat(table))))
 
 
 _BLOCK = 4096  # points per comparison step: amortises its cost, still stops early

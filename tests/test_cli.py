@@ -117,6 +117,17 @@ def test_verify_rejects_unreadable_documents(tmp_path, capsys, data, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+def test_overlong_json_integer_exits_2(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError (on interpreters that limit int conversion); either way the
+    # document is a format error, never a traceback.
+    path = tmp_path / "big.json"
+    path.write_text('{"kind":"solution","n":' + "1" * 5000 + ',"r":[]}')
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_format_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--format", "json"])

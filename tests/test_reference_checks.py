@@ -19,23 +19,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from skewtwist import braces, matched
+from skewtwist import braces, matched, solutions
 from skewtwist.braces import (
     BraidedGroup,
+    _twisted_tables,
     braiding_from_brace,
     check_braided_group,
+    compose_brace_twists,
+    invert_brace_twist,
     phi_reconstruct,
     theta_canonical_twist,
     trivial_brace,
     verify_brace_twist,
 )
 from skewtwist.classification import enumerate_brace_twists
-from skewtwist.errors import AxiomFails, BraidFails, NotBijective, ShapeMismatch, SizeMismatch
-from skewtwist.generators import flip_solution, lyubashenko_solution, z4_brace
+from skewtwist.errors import (
+    AxiomFails,
+    BraidFails,
+    InvalidTwist,
+    NotBijective,
+    ShapeMismatch,
+    SizeMismatch,
+)
+from skewtwist.generators import flip_solution, lyubashenko_solution, s4_solution, z4_brace
 from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
 from skewtwist.matched import MatchedPair, check_matched_pair, pair_from_brace
-from skewtwist.solutions import TwistReport, TwistTriple, YbeSolution, check_solution, verify_twist
-from skewtwist.tables import PairMap, TripleMap, perm_compose, perm_inverse, perm_is_bijective
+from skewtwist.solutions import (
+    TwistReport,
+    TwistTriple,
+    YbeSolution,
+    apply_twist,
+    brute_force_twists,
+    check_solution,
+    compose_twists,
+    doikou_twist,
+    invert_twist,
+    kappa_twist,
+    lyubashenko_shape,
+    verify_twist,
+)
+from skewtwist.tables import (
+    PairMap,
+    TripleMap,
+    lift_12_table,
+    lift_23_table,
+    perm_chain,
+    perm_compose,
+    perm_inverse,
+    perm_is_bijective,
+)
 
 from pointwise import table_of
 
@@ -116,7 +148,8 @@ def ref_verify_twist(s, t):
 
 
 def ref_verify_brace_twist(b, t):
-    """verify_brace_twist with its G1-G4 and L1/L2 loops over __call__."""
+    """verify_brace_twist with its G1-G4 and L1/L2 loops over __call__; L1/L2
+    stay here as the reference for the proof that they follow."""
     base = ref_verify_twist(b.solution, t)
     if not base:
         return base
@@ -135,6 +168,12 @@ def ref_verify_brace_twist(b, t):
         p, q, w = t.Psi(x, y, z)
         if (mul[p][q], w) != t.F(mul[x][y], z):
             return TwistReport(False, "G4", (x, y, z))
+    return ref_unit_laws(n, e, t)
+
+
+def ref_unit_laws(n, e, t):
+    """The L1/L2 loop that verify_brace_twist ran last until the braces
+    docstring showed that T1-T3, G1, G2 and brd1 imply it."""
     for x in range(n):
         for y in range(n):
             fx, fy = t.F(x, y)
@@ -686,3 +725,150 @@ def test_valid_structures_are_decided_without_a_scan(monkeypatch):
     assert got[0] is AxiomFails
     assert got == outcome(ref_check_matched_pair, b.group, b.group, p.act_left, right)
     assert locate["_locate_pair_failure"] == 1
+
+
+# ------------------------------------------ checks decided by argument
+#
+# apply_twist, compose_twists, compose_brace_twists, invert_brace_twist and
+# phi_reconstruct no longer re-verify what the checks they have run imply
+# (proofs in the solutions and braces docstrings).  The references confirm
+# each implication on a bounded corpus.
+
+def ref_twisted_solution(s, t):
+    """F r F^-1 built point by point and checked by the reference braid scan."""
+    finv = t.F.inverse()
+    return ref_check_solution(s.n, table_of(PairMap, s.n, lambda x, y: t.F(*s.r(*finv(x, y)))))
+
+
+def kappas(s):
+    """Every kappa that commutes with both permutations of a Lyubashenko s."""
+    sigma, gamma = lyubashenko_shape(s)
+    return [k for k in itertools.permutations(range(s.n))
+            if perm_compose(k, sigma) == perm_compose(sigma, k)
+            and perm_compose(k, gamma) == perm_compose(gamma, k)]
+
+
+def test_twisted_solutions_pass_the_reference_braid_scan():
+    rng = random.Random(5)
+    flip2 = flip_solution(2)
+    cases = [(flip2, t) for t in brute_force_twists(flip2)]
+    for s in [commuting_lyubashenko(rng, n) for n in range(1, 6)] + [s4_solution()]:
+        cases += [(s, kappa_twist(s, k)) for k in kappas(s)] + [(s, doikou_twist(s))]
+    cases += [(b.solution, theta_canonical_twist(b)) for b in SMALL_BRACES.values()]
+    for s, t in cases:
+        assert apply_twist(s, t) == ref_twisted_solution(s, t)
+    assert len(cases) > 50
+
+
+def compose_corpus():
+    """(base, outer, inner) for composable twists in a bounded corpus: each
+    brute-force twist of flip_2 (on the trivial Z2 brace, whose braiding is
+    the flip) followed by each brute-force twist of the solution it gives,
+    the Klein endo-twists, and chains z4-brace -> Z4 -> Z4."""
+    z2, kl = trivial_brace(cyclic(2)), trivial_brace(klein())
+    z4b, z4 = z4_brace(), trivial_brace(cyclic(4))
+    outers = {}
+    cases = []
+    for inner in brute_force_twists(z2.solution):
+        mid = apply_twist(z2.solution, inner)
+        if mid.r not in outers:
+            outers[mid.r] = list(brute_force_twists(mid))
+        cases += [(z2, outer, inner) for outer in outers[mid.r]]
+    klein_twists = list(enumerate_brace_twists(kl, kl))[::4]
+    cases += [(kl, outer, inner) for outer in klein_twists for inner in klein_twists]
+    cases += [(z4b, outer, inner) for outer in enumerate_brace_twists(z4, z4)
+              for inner in enumerate_brace_twists(z4b, z4)]
+    return cases
+
+
+def test_composites_pass_the_reference_twist_axioms():
+    ok = 0
+    for b, outer, inner in compose_corpus():
+        composite = compose_twists(outer, inner, b.solution)
+        assert ref_verify_twist(b.solution, composite) == TwistReport(True)
+        try:
+            brace_composite = compose_brace_twists(outer, inner, b)
+        except InvalidTwist as exc:
+            # Only G1-G4 of the composite are checked, and only they fail.
+            assert str(exc).startswith("composite: G")
+            assert ref_verify_brace_twist(b, composite).axiom.startswith("G")
+        else:
+            assert brace_composite == composite
+            assert ref_verify_brace_twist(b, composite) == TwistReport(True)
+            ok += 1
+    assert ok > 100
+
+
+def test_inverses_pass_the_reference_on_the_twisted_brace():
+    cases = [(b, t) for b in SMALL_BRACES.values()
+             for t in itertools.islice(enumerate_brace_twists(b, b), 16)]
+    cases += [(z4_brace(), t) for t in enumerate_brace_twists(z4_brace(), trivial_brace(cyclic(4)))]
+    s3op = braiding_from_brace(symmetric(3), opposite(symmetric(3)))
+    cases += [(b, theta_canonical_twist(b)) for b in (s3op, trivial_brace(symmetric(4)))]
+    for b, t in cases:
+        flat, r = _twisted_tables(b, t)
+        twisted = ref_check_braided_group(ref_from_table(rows(flat, b.n)), r)
+        assert ref_verify_brace_twist(twisted, invert_brace_twist(t, b)) == TwistReport(True)
+
+
+def forced_psi(F, phi, n):
+    """The Psi that T1 forces: F12^-1 F23 Phi."""
+    return perm_chain(perm_inverse(lift_12_table(F, n)), lift_23_table(F, n), phi)
+
+
+SMALL_ENDO_TWISTS = {
+    name: list(itertools.islice(enumerate_brace_twists(b, b), 8)) + [SMALL_TWISTS[name]]
+    for name, b in SMALL_BRACES.items()
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=hs.sampled_from(sorted(SMALL)), target=hs.sampled_from(["F", "Phi"]), data=hs.data())
+def test_unit_laws_follow_from_t1_t3_g1_g2(name, target, data):
+    # Swap two entries of F or Phi, one of them at a point L1 reads, and
+    # force Psi by T1: a triple that then passes T1-T3, G1 and G2 (the
+    # reference reports nothing or G3/G4) passes the reference L1/L2 loop.
+    b = SMALL_BRACES[name]
+    t = data.draw(hs.sampled_from(SMALL_ENDO_TWISTS[name]))
+    n, e = b.n, b.group.e
+    F, phi = list(t.F.table), list(t.Phi.table)
+    table = F if target == "F" else phi
+    x, y = data.draw(hs.integers(0, n - 1)), data.draw(hs.integers(0, n - 1))
+    i = x * n + y if target == "F" else data.draw(hs.sampled_from([(x * n + y) * n + e, (x * n + e) * n + y]))
+    j = data.draw(hs.integers(0, len(table) - 1))
+    table[i], table[j] = table[j], table[i]
+    F, phi = tuple(F), tuple(phi)
+    bad = TwistTriple(PairMap(n, F), TripleMap(n, phi), TripleMap(n, forced_psi(F, phi, n)))
+    report = ref_verify_brace_twist(b, bad)
+    if report or report.axiom in ("G3", "G4"):
+        assert ref_unit_laws(n, e, bad) == TwistReport(True)
+
+
+def test_invert_brace_twist_checks_the_twist_once(monkeypatch):
+    b = trivial_brace(symmetric(3))
+    twists = list(itertools.islice(enumerate_brace_twists(b, b), 3))
+    reports = spied(monkeypatch, braces, "_brace_twist_report")
+    structures = spied(monkeypatch, braces, "check_braided_group")
+    for t in twists:
+        invert_brace_twist(t, b)
+    assert reports["_brace_twist_report"] == len(twists)
+    assert structures["check_braided_group"] == 0
+
+
+def test_twisted_solutions_skip_the_braid_scan(monkeypatch):
+    s, b = s4_solution(), z4_brace()
+    t, u = doikou_twist(s), theta_canonical_twist(b)
+    want, back = ref_twisted_solution(s, t), invert_twist(t, s)
+    scans = spied(monkeypatch, solutions, "_braid_failure")
+    assert apply_twist(s, t) == want
+    assert compose_twists(back, t, s) == TwistTriple.identity(s.n)
+    assert compose_brace_twists(invert_brace_twist(u, b), u, b) == TwistTriple.identity(b.n)
+    assert scans["_braid_failure"] == 0
+
+
+def test_phi_reconstruct_does_not_reverify(monkeypatch):
+    cases = [(b, theta_canonical_twist(b)) for b in (z4_brace(), trivial_brace(symmetric(3)))]
+    twist_checks = spied(monkeypatch, braces, "verify_twist")
+    for b, t in cases:
+        assert phi_reconstruct(b, t.Phi) == t
+    assert twist_checks["verify_twist"] == 0

@@ -203,6 +203,21 @@ def short_pool(monkeypatch):
     tables._row_blocks.cache_clear()
 
 
+def test_large_lifts_leave_no_cached_blocks(short_pool):
+    # Blocks above _CACHED_BLOCK_ENTRIES are built per lift and freed with
+    # it; the lifts of the universes the benchmark uses (n <= 24) stay cached.
+    n = 33
+    assert n ** 3 > tables._CACHED_BLOCK_ENTRIES >= 24 ** 3
+    flip = PairMap.flip(n).table
+    assert lift_12_table(flip, n) == lift_12_reference(flip, n)
+    assert lift_23_table(flip, n) == lift_23_reference(flip, n)
+    assert tables._row_blocks.cache_info().currsize == 0
+    flip = PairMap.flip(24).table
+    assert lift_12_table(flip, 24) == lift_12_reference(flip, 24)
+    assert lift_23_table(flip, 24) == lift_23_reference(flip, 24)
+    assert tables._row_blocks.cache_info().currsize == 2
+
+
 def test_lifts_grow_the_pool(short_pool):
     rng = random.Random(9)
     n = 7  # n^3 > 256, so identity is not the small-int cache's
