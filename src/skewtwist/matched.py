@@ -15,6 +15,18 @@ two hold for all g, b are closed under products, as (g h1 h2) |> b and
 (g h1 h2) <| b expand through h2 and then h1, and so are the c at which the
 last two hold for all g, b, as g <| (b c1 c2) and g |> (b c1 c2) expand
 through c2 and then c1; the unit axioms checked first put e among both.
+
+The self-pair of a brace is not checked (pair_from_brace): with
+g |> b = sigma_g(b) and g <| b = tau_b(g), its axioms are the brace's.  The
+four unit axioms are brd1; left-action-mul and right-compat are the sigma-
+and tau-parts of brdOpr1, and left-compat and right-action-mul those of
+brdOpr2 (see braces).
+
+A Theta-map found by enumerate_thetas is not re-checked: the search decides
+every condition of check_theta.  Its candidates meet the unit conditions,
+F_Theta takes a new value at each of the |G-|^2 entries, so it is a
+bijection, and every cocycle instance is checked once all it reads is set
+(_cocycle_watches).
 """
 
 from __future__ import annotations
@@ -156,11 +168,10 @@ def _locate_pair_failure(gplus, gminus, act_left, act_right) -> None:
 
 
 def pair_from_brace(b: BraidedGroup) -> MatchedPair:
-    """The self-pair of a brace: both groups are (G, .), actL = sigma, actR = gamma."""
-    n = b.n
-    act_left = tuple(tuple(b.sigma[g][x] for x in range(n)) for g in range(n))
-    act_right = tuple(tuple(b.gamma[x][g] for x in range(n)) for g in range(n))
-    return check_matched_pair(b.group, b.group, act_left, act_right)
+    """The self-pair of a brace: both groups are (G, .), g |> x = sigma_g(x)
+    and g <| x = tau_x(g); assembled unchecked, as the braiding-operator
+    axioms are its matched-pair axioms (module docstring)."""
+    return MatchedPair(b.group, b.group, b.sigma, tuple(zip(*b.gamma)))
 
 
 def _theta_unit_failure(p: MatchedPair, theta: ThetaMap) -> tuple[int, int] | None:
@@ -332,10 +343,10 @@ def enumerate_thetas(
     instance held before an assignment, so after assigning an entry only
     the instances that read it are re-checked, from watch lists built once
     per call (_cocycle_watches); the pruning is the same as re-checking all
-    |G-|^3 instances.  Each map found is re-checked in full by check_theta
-    before it is yielded.  Raises TooLarge once more than `budget`
-    assignments have been attempted, or up front when the watch lists'
-    |G-|^3 |G+| entries alone would exceed it.
+    |G-|^3 instances.  Each map found passes check_theta, so it is yielded
+    without a re-check (module docstring).  Raises TooLarge once more than
+    `budget` assignments have been attempted, or up front when the watch
+    lists' |G-|^3 |G+| entries alone would exceed it.
     """
     nm, np_ = p.gminus.n, p.gplus.n
     pmul = p.gplus.mul
@@ -403,7 +414,4 @@ def enumerate_thetas(
             theta1[i] = theta2[i] = -1
             f_used.discard(fval)
 
-    for theta in extend(0):
-        # Defensive full re-check of every map the search emits.
-        if check_theta(p, theta):
-            yield theta
+    yield from extend(0)

@@ -35,11 +35,20 @@ def _is_element(v: Any, n: int) -> bool:
     return type(v) is int and 0 <= v < n
 
 
+def _count_text(count: int, formula: str) -> str:
+    """count in decimal, or formula when count has more digits than Python
+    converts to text (sys.get_int_max_str_digits)."""
+    try:
+        return str(count)
+    except ValueError:
+        return formula
+
+
 def _read_table(cls, n: int, rows: Any):
     """A PairMap or TripleMap from its rows of cls.arity elements."""
     kind, arity = cls.kind, cls.arity
     if not isinstance(rows, list) or len(rows) != n ** arity:
-        raise DocumentError(f"{kind} table must have {n ** arity} rows")
+        raise DocumentError(f"{kind} table must have {_count_text(n ** arity, f'n^{arity}')} rows")
     for row in rows:
         if not isinstance(row, list) or len(row) != arity:
             raise DocumentError(f"{kind} table rows must be [{', '.join('abc'[:arity])}]")
@@ -174,7 +183,7 @@ def doc_to_theta(doc: dict) -> ThetaMap:
     np_ = _read_n(doc, "nplus")
     rows = doc.get("theta")
     if not isinstance(rows, list) or len(rows) != nm * nm:
-        raise DocumentError(f"theta table must have {nm * nm} rows")
+        raise DocumentError(f"theta table must have {_count_text(nm * nm, 'nminus^2')} rows")
     t1, t2 = [], []
     for row in rows:
         if not isinstance(row, list) or len(row) != 2:

@@ -193,8 +193,9 @@ def test_star_identity_matches_dot_identity():
 
 
 def test_from_table_star_is_group():
-    # check_braided_group must also reject an r whose derived star table
-    # fails associativity; use a corrupted table on Z3
+    # The star table of a braiding operator is always a group (braces module
+    # docstring), so check_braided_group assembles it; from_table accepts the
+    # flip's star table on Z3, which is Z3 itself.
     g = cyclic(3)
     flip = PairMap.flip(3)
     b = check_braided_group(g, flip)

@@ -128,6 +128,26 @@ def test_overlong_json_integer_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"kind":"solution","n":%s,"r":[]}', "error: pair table must have "),
+        ('{"kind":"twist","n":%s,"f":[],"phi":[],"psi":[]}', "error: pair table must have "),
+        ('{"kind":"theta","nminus":%s,"nplus":2,"theta":[]}', "error: theta table must have "),
+    ],
+    ids=["solution", "twist", "theta"],
+)
+def test_row_count_of_a_huge_size_exits_2(tmp_path, capsys, doc, message):
+    # A 3000-digit size parses, but its square has more digits than Python
+    # converts to text on interpreters that limit int conversion; the row
+    # count message still comes out as one line.
+    path = tmp_path / "big.json"
+    path.write_text(doc % ("1" * 3000))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.endswith(" rows\n") and err.count("\n") == 1
+
+
 def test_format_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--format", "json"])

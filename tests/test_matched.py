@@ -6,7 +6,7 @@ import random
 import pytest
 
 from skewtwist import matched
-from skewtwist.braces import theta_canonical_twist, trivial_brace
+from skewtwist.braces import braiding_from_brace, theta_canonical_twist, trivial_brace
 from skewtwist.errors import AxiomFails, InvalidTheta, TooLarge
 from skewtwist.generators import z4_brace
 from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
@@ -24,12 +24,27 @@ from skewtwist.matched import (
 from skewtwist.solutions import TwistTriple
 from skewtwist.tables import PairMap
 
+from test_reference_checks import opposite, ref_check_matched_pair
+
 
 def test_pair_from_brace_is_valid():
-    for b in (z4_brace(), trivial_brace(symmetric(3)), trivial_brace(klein())):
+    s3op = braiding_from_brace(symmetric(3), opposite(symmetric(3)))
+    for b in (
+        z4_brace(), trivial_brace(symmetric(3)), trivial_brace(klein()),
+        trivial_brace(symmetric(4)), s3op,
+    ):
         p = pair_from_brace(b)
         assert p.gplus.mul == b.group.mul
         assert p.gminus.mul == b.group.mul
+        # The pair is assembled unchecked; the pointwise reference accepts it.
+        assert ref_check_matched_pair(p.gplus, p.gminus, p.act_left, p.act_right) == p
+
+
+def test_enumerated_thetas_pass_check_theta():
+    # enumerate_thetas does not re-check what its search has decided.
+    for b in (trivial_brace(cyclic(3)), trivial_brace(cyclic(4)), z4_brace(), trivial_brace(klein())):
+        p = pair_from_brace(b)
+        assert all(check_theta(p, theta) for theta in enumerate_thetas(p))
 
 
 def test_check_matched_pair_rejects_broken_actions():

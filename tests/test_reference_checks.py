@@ -23,6 +23,7 @@ from skewtwist import braces, matched, solutions
 from skewtwist.braces import (
     BraidedGroup,
     _twisted_tables,
+    apply_brace_twist,
     braiding_from_brace,
     check_braided_group,
     compose_brace_twists,
@@ -43,7 +44,7 @@ from skewtwist.errors import (
 )
 from skewtwist.generators import flip_solution, lyubashenko_solution, s4_solution, z4_brace
 from skewtwist.groups import FiniteGroup, cyclic, klein, symmetric
-from skewtwist.matched import MatchedPair, check_matched_pair, pair_from_brace
+from skewtwist.matched import MatchedPair, check_matched_pair, enumerate_thetas, pair_from_brace
 from skewtwist.solutions import (
     TwistReport,
     TwistTriple,
@@ -809,6 +810,7 @@ def test_inverses_pass_the_reference_on_the_twisted_brace():
         flat, r = _twisted_tables(b, t)
         twisted = ref_check_braided_group(ref_from_table(rows(flat, b.n)), r)
         assert ref_verify_brace_twist(twisted, invert_brace_twist(t, b)) == TwistReport(True)
+        assert apply_brace_twist(b, t) == twisted
 
 
 def forced_psi(F, phi, n):
@@ -872,3 +874,35 @@ def test_phi_reconstruct_does_not_reverify(monkeypatch):
     for b, t in cases:
         assert phi_reconstruct(b, t.Phi) == t
     assert twist_checks["verify_twist"] == 0
+
+
+def test_check_braided_group_assembles_the_star_group(monkeypatch):
+    cases = [(b.group, b.r) for b in (z4_brace(), trivial_brace(symmetric(4)))]
+    tables = spied(monkeypatch, FiniteGroup, "from_table")
+    for group, r in cases:
+        check_braided_group(group, r)
+    assert tables["from_table"] == 0
+
+
+def test_apply_brace_twist_assembles_the_twisted_brace(monkeypatch):
+    b = trivial_brace(symmetric(3))
+    twists = list(itertools.islice(enumerate_brace_twists(b, b), 3)) + [theta_canonical_twist(b)]
+    tables = spied(monkeypatch, FiniteGroup, "from_table")
+    structures = spied(monkeypatch, braces, "check_braided_group")
+    for t in twists:
+        apply_brace_twist(b, t)
+    assert tables["from_table"] == structures["check_braided_group"] == 0
+
+
+def test_pair_from_brace_is_not_rechecked(monkeypatch):
+    pair_checks = spied(monkeypatch, matched, "check_matched_pair")
+    for b in (z4_brace(), trivial_brace(symmetric(3))):
+        pair_from_brace(b)
+    assert pair_checks["check_matched_pair"] == 0
+
+
+def test_enumerated_thetas_are_not_rechecked(monkeypatch):
+    p = pair_from_brace(z4_brace())
+    theta_checks = spied(monkeypatch, matched, "check_theta")
+    assert len(list(enumerate_thetas(p))) == 192
+    assert theta_checks["check_theta"] == 0
